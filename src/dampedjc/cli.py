@@ -9,22 +9,28 @@ work before anything is written.
 
 Exit codes: 0 success; 2 bad usage/config/parameters or missing files;
 3 truncation failure (requested state does not fit the basis);
-4 numerical failure (integrator diagnostics or non-finite results).
+4 numerical failure (integrator diagnostics, non-finite results, a failed
+linear-algebra routine or exhausted memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import concurrent.futures
 import enum
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
+# expm and build_generator are not called here any more; perfbench/tracing.py
+# wraps these module-level names, so they stay bound in this module.
+from scipy.linalg import expm  # noqa: F401
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     ConfigError,
@@ -38,7 +44,13 @@ from .errors import (
 from .fock import annihilation, coherent_state, number
 from .oracle import OracleConfig, OracleMethod, oracle_propagate
 from .params import ModelParams
-from .superop import BlockDensity, build_generator, devectorize_blocks, vectorize_blocks
+from .superop import (  # noqa: F401
+    BlockDensity,
+    build_generator,
+    devectorize_blocks,
+    sparse_generator,
+    vectorize_blocks,
+)
 from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
@@ -121,6 +133,8 @@ class RunConfig:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not (self.max_step_scale > 0):
             raise ConfigError(f"max_step_scale must be positive, got {self.max_step_scale!r}")
+        if not cmath.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if not (self.rk4_dt > 0):
             raise ConfigError(f"rk4_dt must be positive, got {self.rk4_dt!r}")
         if not (isinstance(self.pad, int) and self.pad >= 0):
@@ -297,14 +311,12 @@ def observables(rho: BlockDensity, oracle_rho: BlockDensity) -> ObservableRow:
 
 
 def _oracle_trajectory(rho0: BlockDensity, ts: np.ndarray, p: ModelParams) -> list:
-    """Exact states on a uniform grid via powers of one dense step matrix."""
-    U = expm(float(ts[1] - ts[0]) * build_generator(p))
-    states = [rho0]
-    vec = vectorize_blocks(rho0)
-    for _ in range(len(ts) - 1):
-        vec = U @ vec
-        states.append(devectorize_blocks(vec, p.dim))
-    return states
+    """Exact states on the uniform grid ts: one expm_multiply sweep of the
+    sparse generator over the whole grid."""
+    vecs = expm_multiply(sparse_generator(p), vectorize_blocks(rho0),
+                         start=float(ts[0]), stop=float(ts[-1]), num=len(ts),
+                         endpoint=True)
+    return [rho0] + [devectorize_blocks(v, p.dim) for v in vecs[1:]]
 
 
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
@@ -409,7 +421,7 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
     bound = max(DEFAULT_STEP_BOUND, max(h) * p.rate * (1 + 1e-9))
-    ocfg = OracleConfig()   # dense expm reference
+    ocfg = OracleConfig()   # expm_multiply of the sparse generator
     exact = {step: oracle_propagate(rho0, step, p, ocfg).full() for step in h}
     errors = {}
     slopes = {}
@@ -505,8 +517,33 @@ def emit_plotscript(csv_path: str, script_path: str) -> None:
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error becomes a ConfigError, so main reports it on one
+        line and returns 2 instead of raising SystemExit."""
+        raise ConfigError(message)
+
+
+# A value that starts like a negative number.  argparse before Python 3.13
+# takes such a token for an option unless it is a plain negative number, so
+# `--alpha -0.7-0.7j` would lose its value.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite `--opt -0.7-0.7j` as `--opt=-0.7-0.7j`."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE_VALUE.match(arg) and prev.startswith("--") and "=" not in prev:
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dampedjc",
         description="Damped Jaynes-Cummings trajectories: split-operator "
                     "propagators checked against brute-force integration.")
@@ -519,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tmax", type=float, metavar="T")
     ap.add_argument("--points", type=int, metavar="N")
     ap.add_argument("--dim", type=int, metavar="D", help="Fock-space cutoff")
-    ap.add_argument("--alpha", metavar="Z", help="coherent amplitude, e.g. 0.9+0.3j")
+    ap.add_argument("--alpha", metavar="Z",
+                    help="coherent amplitude, e.g. 0.9+0.3j or -0.7-0.7j")
     ap.add_argument("--omega0", type=float, metavar="W")
     ap.add_argument("--Omega", type=float, metavar="W")
     ap.add_argument("--mu", type=float, metavar="R", help="decay rate (must exceed nu)")
@@ -629,8 +667,9 @@ def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _build_parser().parse_args(_attach_negative_values(argv))
         cfg = _resolve_config(args)
         if args.study == "convergence":
             return _run_study(cfg, args.h_list)
@@ -649,6 +688,9 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, StepError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except (np.linalg.LinAlgError, MemoryError) as e:
+        print(f"error: {type(e).__name__}: {e}".rstrip(": "), file=sys.stderr)
         return 4
 
 

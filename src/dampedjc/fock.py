@@ -7,6 +7,7 @@ only; everything in this module is exact on the retained levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
@@ -60,6 +61,8 @@ def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-10) -> np.ndar
     tail_tol, i.e. the cutoff is too small for this alpha.
     """
     dim = _check_dim(dim)
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     tail = coherent_tail_weight(alpha, dim)
     if tail >= tail_tol:
         raise TruncationError(

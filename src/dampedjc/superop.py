@@ -24,11 +24,13 @@ by the reference integrator.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import ShapeError
+from .errors import ShapeError, TruncationWarning
 from .fock import annihilation, creation, number
 from .params import ModelParams
 
@@ -120,17 +122,33 @@ class BlockDensity:
                             self.rho10.copy(), self.rho11.copy())
 
 
-def guard_occupation(rho: BlockDensity, guard: int = 3) -> float:
+GUARD_LEVELS = 3
+GUARD_TOL = 1e-8
+
+
+def guard_occupation(rho: BlockDensity, guard: int = GUARD_LEVELS) -> float:
     """Total population in the top `guard` Fock levels.
 
     States whose weight reaches the edge of the truncated space are being
     corrupted by the cutoff; propagation routines warn when this exceeds
-    1e-8.
+    GUARD_TOL.
     """
     lo = max(0, rho.dim - guard)
     occ = (np.diag(rho.rho00)[lo:].real.sum()
            + np.diag(rho.rho11)[lo:].real.sum())
     return float(occ)
+
+
+def warn_on_guard_occupation(rho: BlockDensity) -> None:
+    """TruncationWarning when the top GUARD_LEVELS Fock levels hold more than
+    GUARD_TOL.  Call it from the public propagation routine itself: the
+    warning is attributed to that routine's caller."""
+    occ = guard_occupation(rho, GUARD_LEVELS)
+    if occ > GUARD_TOL:
+        warnings.warn(
+            f"top {GUARD_LEVELS} Fock levels hold occupation {occ:.3e} "
+            f"(> {GUARD_TOL:.0e}); increase dim",
+            TruncationWarning, stacklevel=3)
 
 
 def vectorize_blocks(rho: BlockDensity) -> np.ndarray:
@@ -150,6 +168,65 @@ def devectorize_blocks(v: np.ndarray, dim: int | None = None) -> BlockDensity:
 
 # ---------------------------------------------------------------------------
 # generators
+#
+# Each generator is assembled once, in sparse CSR form, from d x d ladder
+# operators; the public dense builders are .toarray() of these assemblies.
+# No dense dim^2 x dim^2 intermediate is formed, so sparse_generator scales
+# to cutoffs whose dense generator would not fit in memory.
+
+
+def _sparse_ladders(dim: int):
+    """(a, a+, N, 1) as sparse d x d matrices."""
+    return (sp.csr_matrix(annihilation(dim)), sp.csr_matrix(creation(dim)),
+            sp.csr_matrix(number(dim)), sp.identity(dim, dtype=complex, format="csr"))
+
+
+def _sparse_k_generators(dim: int):
+    a, ad, N, I = _sparse_ladders(dim)
+    Kp = sp.kron(ad, a.T, format="csr")
+    Km = sp.kron(a, ad.T, format="csr")
+    K3 = 0.5 * (sp.kron(N, I) + sp.kron(I, N) + sp.kron(I, I)).tocsr()
+    K0 = (sp.kron(N, I) - sp.kron(I, N)).tocsr()
+    return Kp, Km, K3, K0
+
+
+def _sparse_lindblad(p: ModelParams) -> sp.csr_matrix:
+    Kp, Km, K3, _ = _sparse_k_generators(p.dim)
+    Iq = sp.identity(p.dim * p.dim, dtype=complex, format="csr")
+    return ((p.mu - p.nu) / 2 * Iq + p.nu * Kp + p.mu * Km
+            - (p.mu + p.nu) * K3).tocsr()
+
+
+def _sparse_X(p: ModelParams) -> sp.csr_matrix:
+    _, _, _, K0 = _sparse_k_generators(p.dim)
+    base = -1j * p.omega0 * K0 + _sparse_lindblad(p)
+    Iq = sp.identity(p.dim * p.dim, dtype=complex, format="csr")
+    shifts = (0.0, -1j * p.omega0, 1j * p.omega0, 0.0)
+    return sp.block_diag([base + s * Iq for s in shifts], format="csr")
+
+
+def _sparse_Y(p: ModelParams) -> sp.csr_matrix:
+    a, ad, _, I = _sparse_ladders(p.dim)
+    aI = sp.kron(a, I)
+    adI = sp.kron(ad, I)
+    IaT = sp.kron(I, a.T)
+    IadT = sp.kron(I, ad.T)
+    return -1j * p.Omega * sp.bmat([
+        [None, -IadT, aI, None],
+        [-IaT, None, None, aI],
+        [adI, None, None, -IadT],
+        [None, adI, -IaT, None],
+    ], format="csr")
+
+
+def sparse_generator(p: ModelParams) -> sp.csr_matrix:
+    """Full generator X + Y of the vectorized master equation, sparse CSR.
+
+    About five nonzeros per row.  It conserves the excitation difference
+    k = m - n - i + j of a stacked element (atom block ij, Fock pair m, n),
+    so each row couples only states of one k-sector.
+    """
+    return (_sparse_X(p) + _sparse_Y(p)).tocsr()
 
 
 def k_generators(dim: int):
@@ -161,48 +238,20 @@ def k_generators(dim: int):
     [K3, K+-] = +-K+- and [K+, K-] = -2 K3 hold exactly on index pairs away
     from the truncation edge; K0 commutes with all three at any cutoff.
     """
-    a = annihilation(dim)
-    ad = creation(dim)
-    N = number(dim)
-    I = np.eye(dim, dtype=complex)
-    Kp = np.kron(ad, a.T)
-    Km = np.kron(a, ad.T)
-    K3 = 0.5 * (np.kron(N, I) + np.kron(I, N) + np.kron(I, I))
-    K0 = np.kron(N, I) - np.kron(I, N)
-    return Kp, Km, K3, K0
+    return tuple(K.toarray() for K in _sparse_k_generators(dim))
 
 
 def lindblad_superop(p: ModelParams) -> np.ndarray:
-    """Single-block dissipative superoperator L.
+    """Single-block dissipative superoperator L in its K-form
 
-    Built two ways -- the explicit tensor form
+        L = (mu-nu)/2 + nu K+ + mu K- - (mu+nu) K3,
 
-        L = mu {a kron (a+)^T - (a+ a kron 1 + 1 kron a+ a)/2}
-          + nu {a+ kron a^T  - ((N+1) kron 1 + 1 kron (N+1))/2}
+    which equals entrywise the explicit tensor form
 
-    and the K-form (mu-nu)/2 + nu K+ + mu K- - (mu+nu) K3 -- which must
-    agree entrywise; the agreement is asserted at 1e-13.
+        mu {a kron (a+)^T - (a+ a kron 1 + 1 kron a+ a)/2}
+      + nu {a+ kron a^T  - ((N+1) kron 1 + 1 kron (N+1))/2}.
     """
-    d = p.dim
-    a = annihilation(d)
-    ad = creation(d)
-    N = number(d)
-    I = np.eye(d, dtype=complex)
-    Np1 = N + I  # a a+ expanded via the operator identity, see module docstring
-
-    explicit = (
-        p.mu * (sandwich_superop(a, ad)
-                - 0.5 * (np.kron(N, I) + np.kron(I, N.T)))
-        + p.nu * (sandwich_superop(ad, a)
-                  - 0.5 * (np.kron(Np1, I) + np.kron(I, Np1.T)))
-    )
-
-    Kp, Km, K3, _ = k_generators(d)
-    kform = (p.mu - p.nu) / 2 * np.eye(d * d) + p.nu * Kp + p.mu * Km - (p.mu + p.nu) * K3
-
-    defect = np.max(np.abs(explicit - kform))
-    assert defect < 1e-13, f"L construction mismatch: {defect:.3e}"
-    return kform
+    return _sparse_lindblad(p).toarray()
 
 
 def build_X(p: ModelParams) -> np.ndarray:
@@ -211,17 +260,7 @@ def build_X(p: ModelParams) -> np.ndarray:
     Blocks (-i w0 K0 + L), (-i w0 - i w0 K0 + L), (+i w0 - i w0 K0 + L),
     (-i w0 K0 + L), acting on (rho00^, rho01^, rho10^, rho11^).
     """
-    d = p.dim
-    q = d * d
-    _, _, _, K0 = k_generators(d)
-    L = lindblad_superop(p)
-    base = -1j * p.omega0 * K0 + L
-    Iq = np.eye(q, dtype=complex)
-    X = np.zeros((4 * q, 4 * q), dtype=complex)
-    shifts = (0.0, -1j * p.omega0, 1j * p.omega0, 0.0)
-    for k, s in enumerate(shifts):
-        X[k * q:(k + 1) * q, k * q:(k + 1) * q] = base + s * Iq
-    return X
+    return _sparse_X(p).toarray()
 
 
 def build_Y(p: ModelParams) -> np.ndarray:
@@ -232,27 +271,12 @@ def build_Y(p: ModelParams) -> np.ndarray:
          [a+ kron 1,   0,        0,             -1 kron (a+)^T],
          [0,     a+ kron 1,      -1 kron a^T,   0        ]]
     """
-    d = p.dim
-    q = d * d
-    a = annihilation(d)
-    ad = creation(d)
-    I = np.eye(d, dtype=complex)
-    aI = np.kron(a, I)
-    adI = np.kron(ad, I)
-    IaT = np.kron(I, a.T)
-    IadT = np.kron(I, ad.T)
-    Z = np.zeros((q, q), dtype=complex)
-    return -1j * p.Omega * np.block([
-        [Z, -IadT, aI, Z],
-        [-IaT, Z, Z, aI],
-        [adI, Z, Z, -IadT],
-        [Z, adI, -IaT, Z],
-    ])
+    return _sparse_Y(p).toarray()
 
 
 def build_generator(p: ModelParams) -> np.ndarray:
-    """Full generator X + Y of the vectorized master equation."""
-    return build_X(p) + build_Y(p)
+    """Full generator X + Y of the vectorized master equation, dense."""
+    return sparse_generator(p).toarray()
 
 
 def build_hamiltonian(p: ModelParams):
@@ -302,21 +326,3 @@ def restrict_superop(S: np.ndarray, dim_from: int, dim_to: int,
     keep = fock_keep_indices(dim_from, dim_to)
     keep = np.concatenate([b * q + keep for b in range(nblocks)])
     return S[np.ix_(keep, keep)].copy()
-
-
-def embed_block_vector(v: np.ndarray, dim_from: int, dim_to: int) -> np.ndarray:
-    """Zero-pad a 4*dim_from^2 stacked state vector to cutoff dim_to."""
-    if dim_to < dim_from:
-        raise ShapeError(f"cannot embed dim {dim_from} into smaller dim {dim_to}")
-    rho = devectorize_blocks(np.asarray(v), dim_from)
-    out = BlockDensity.zero(dim_to)
-    for i, j in BLOCK_KEYS:
-        out.block(i, j)[:dim_from, :dim_from] = rho.block(i, j)
-    return vectorize_blocks(out)
-
-
-def restrict_block_vector(v: np.ndarray, dim_from: int, dim_to: int) -> np.ndarray:
-    """Drop Fock levels >= dim_to from a 4*dim_from^2 stacked state vector."""
-    rho = devectorize_blocks(np.asarray(v), dim_from)
-    return vectorize_blocks(BlockDensity(
-        *(rho.block(i, j)[:dim_to, :dim_to] for i, j in BLOCK_KEYS)))

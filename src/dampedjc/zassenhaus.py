@@ -24,7 +24,6 @@ factorially in pad, default 8).
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,13 +33,11 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .analytic import coherent_solution, diagonal_block_propagator, tau_series, vacuum_solution
-from .errors import DomainError, NumericalError, ShapeError, StepError, TruncationWarning
+from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, coherent_state, cos_sqrt, creation, sinc_sqrt
 from .params import ModelParams
-from .superop import BLOCK_KEYS, BlockDensity, guard_occupation, restrict_superop
+from .superop import BLOCK_KEYS, BlockDensity, restrict_superop, warn_on_guard_occupation
 
-GUARD_LEVELS = 3
-GUARD_TOL = 1e-8
 DEFAULT_STEP_BOUND = 1.0
 DEFAULT_PAD = 8
 
@@ -295,17 +292,6 @@ def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
     return [U[:q, 0], U[:q, 1], U[q:, 0], U[q:, 1]]
 
 
-def _check_guard(rho: BlockDensity):
-    occ = guard_occupation(rho, GUARD_LEVELS)
-    if occ > GUARD_TOL:
-        warnings.warn(
-            f"top {GUARD_LEVELS} Fock levels hold occupation {occ:.3e} "
-            f"(> {GUARD_TOL:.0e}); increase dim",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
               order: PropagatorOrder = PropagatorOrder.SPLIT2,
               step_bound: float = DEFAULT_STEP_BOUND,
@@ -341,7 +327,7 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
 
     if order is PropagatorOrder.DIAGONAL_ONLY:
         out = BlockDensity(tau[0, 0], tau[0, 1], tau[1, 0], tau[1, 1])
-        _check_guard(out)
+        warn_on_guard_occupation(out)
         return out
 
     M1 = _y_factors(t, p)[0]
@@ -367,7 +353,7 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         out = BlockDensity(*(np.asarray(w).reshape(dp, dp)[:p.dim, :p.dim]
                              for w in parts))
 
-    _check_guard(out)
+    warn_on_guard_occupation(out)
     return out
 
 

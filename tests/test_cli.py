@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dampedjc import (
     ConfigError,
@@ -13,6 +15,7 @@ from dampedjc import (
     emit_plotscript,
     run_trajectory,
 )
+from dampedjc import cli
 from dampedjc.cli import (
     InitialKind,
     config_from_dict,
@@ -21,6 +24,7 @@ from dampedjc.cli import (
     main,
     observables,
 )
+from dampedjc.superop import build_generator, vectorize_blocks
 
 
 # fixtures here run deliberately small cutoffs to keep the suite fast, so the
@@ -78,6 +82,9 @@ def test_config_rejects_garbage():
         config_from_dict({"t_max": -1.0})
     with pytest.raises(ConfigError):
         config_from_dict({"alpha": "one-ish"})
+    for alpha in ("nan", "inf", [0.5, float("nan")]):
+        with pytest.raises(ConfigError):
+            config_from_dict({"alpha": alpha})
     with pytest.raises(ConfigError):
         config_from_dict({"initial": "custom-file"})   # no path given
     with pytest.raises(ConfigError):
@@ -154,6 +161,33 @@ def test_run_trajectory_columns_and_t0():
     assert t0["t"] == 0.0
     assert t0["oracle_expm_trace"] == pytest.approx(1.0, abs=1e-12)
     assert t0["split2_tdist_oracle"] < 1e-13
+
+
+def test_oracle_trajectory_matches_dense_expm_powers():
+    # independent route: powers of one dense step matrix of the generator
+    p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=10)
+    rho0 = initial_state(config_from_dict({"dim": 10, "alpha": 0.6 - 0.3j}))
+    ts = np.linspace(0.0, 2.0, 21)
+    states = cli._oracle_trajectory(rho0, ts, p)
+    assert len(states) == len(ts)
+    U = expm(float(ts[1]) * build_generator(p))
+    vec = vectorize_blocks(rho0)
+    for state in states:
+        assert np.abs(vectorize_blocks(state) - vec).max() <= 1e-13
+        vec = U @ vec
+
+
+def test_oracle_trajectory_builds_no_dense_generator():
+    # the dense generator alone would take 4 (40^2)^2 * 16 B = 655 MB
+    cfg = config_from_dict({"dim": 40, "methods": ["oracle-expm"]})
+    tracemalloc.start()
+    try:
+        _, rows = run_trajectory(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == cfg.points
+    assert peak < 64 * 2**20
 
 
 def test_split2_tracks_oracle_closely():
@@ -313,6 +347,35 @@ def test_main_exit_codes(tmp_path):
     # coherent state does not fit the requested cutoff
     assert main(["--dim", "8", "--alpha", "2.0", "--points", "3",
                  "--out", str(out)]) == 3
+    # usage errors and non-finite alpha are reported, not raised
+    assert main(["--bogus"]) == 2
+    assert main(["--dim", "x"]) == 2
+    assert main(["--alpha", "nan", "--dim", "8", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("eig did not converge"),
+                                   MemoryError()])
+def test_main_maps_linalg_and_memory_errors(tmp_path, monkeypatch, capsys, error):
+    def fail(cfg):
+        raise error
+    monkeypatch.setattr(cli, "run_trajectory", fail)
+    assert main(["--dim", "8", "--out", str(tmp_path / "x.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_negative_alpha_spellings(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    outs = []
+    for spelling in (["--alpha", "-0.72-0.70j"], ["--alpha=-0.72-0.70j"]):
+        assert main(["--dim", "16", "--points", "3", "--tmax", "0.5",
+                     "--method", "split2", *spelling, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b'"alpha": [-0.72, -0.7]' in outs[0]
 
 
 def test_main_convergence_study(tmp_path):

@@ -102,6 +102,12 @@ def test_coherent_state_rejects_small_cutoff():
     assert np.abs(c - np.array([1, 0, 0, 0])).max() == 0
 
 
+def test_coherent_state_rejects_non_finite_alpha():
+    for alpha in (complex("nan"), float("inf"), complex(0.3, float("nan"))):
+        with pytest.raises(DomainError):
+            coherent_state(alpha, 8)
+
+
 def test_func_of_number():
     f = func_of_number(lambda n: n * n, 5)
     assert np.allclose(np.diag(f), [0, 1, 4, 9, 16])

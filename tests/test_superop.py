@@ -22,7 +22,7 @@ from dampedjc import (
     vectorize,
     vectorize_blocks,
 )
-from dampedjc.superop import fock_keep_indices
+from dampedjc.superop import fock_keep_indices, sparse_generator
 
 
 def random_matrix(rng, d):
@@ -118,7 +118,7 @@ def test_lindblad_superop_action():
     # a a+ products expanded as N + 1
     rng = np.random.default_rng(3)
     p = ModelParams(omega0=0.9, Omega=0.4, mu=0.7, nu=0.3, dim=6)
-    L = lindblad_superop(p)   # also runs the internal two-construction assert
+    L = lindblad_superop(p)
     a, ad, N = annihilation(6), creation(6), number(6)
     Np1 = N + np.eye(6)
     for _ in range(20):
@@ -127,6 +127,20 @@ def test_lindblad_superop_action():
                 + p.nu * (ad @ s @ a - 0.5 * (Np1 @ s + s @ Np1)))
         got = devectorize(L @ vectorize(s))
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_lindblad_superop_matches_explicit_tensor_form():
+    # the K-form (mu-nu)/2 + nu K+ + mu K- - (mu+nu) K3 against the tensor
+    # form written with sandwich superoperators, a a+ expanded as N + 1
+    for d, mu, nu in ((2, 0.5, 0.0), (6, 0.7, 0.3), (11, 1.9, 1.2)):
+        p = ModelParams(omega0=0.9, Omega=0.4, mu=mu, nu=nu, dim=d)
+        a, ad, N = annihilation(d), creation(d), number(d)
+        I = np.eye(d)
+        Np1 = N + I
+        explicit = (
+            mu * (sandwich_superop(a, ad) - 0.5 * (np.kron(N, I) + np.kron(I, N.T)))
+            + nu * (sandwich_superop(ad, a) - 0.5 * (np.kron(Np1, I) + np.kron(I, Np1.T))))
+        assert np.abs(explicit - lindblad_superop(p)).max() < 1e-13
 
 
 def test_build_X_block_structure():
@@ -202,3 +216,19 @@ def test_restrict_superop_picks_subblock():
     assert np.abs(small - want).max() == 0
     with pytest.raises(ShapeError):
         restrict_superop(S, 4, 2)
+
+
+def test_sparse_generator_conserves_excitation_difference():
+    # stacked index (2i + j) d^2 + m d + n carries k = m - n - i + j; every
+    # nonzero of X + Y joins two states of the same k
+    rng = np.random.default_rng(7)
+    for d in (2, 5, 9):
+        p = ModelParams(omega0=rng.uniform(0.1, 2), Omega=rng.uniform(0.1, 2),
+                        mu=0.8, nu=0.3, dim=d)
+        G = sparse_generator(p).tocoo()
+        assert np.abs(G.toarray() - build_generator(p)).max() == 0
+        idx = np.arange(4 * d * d)
+        blk, m, n = idx // (d * d), (idx // d) % d, idx % d
+        k = m - n - blk // 2 + blk % 2
+        assert G.nnz > 0
+        assert np.all(k[G.row] == k[G.col])
