@@ -3,9 +3,8 @@
 Runs one or more propagation methods over a shared time grid, records a
 fixed set of observables per method per time, and writes CSV (default) or
 JSON.  Output is deterministic byte-for-byte for a given config: fixed
-float formatting, sorted config embedding, and a thread pool (if enabled
-via LINDBLAD_JC_THREADS) that only parallelizes independent per-method
-work before anything is written.
+float formatting and sorted config embedding.  A method whose states turn
+unphysical (negative eigenvalues) is reported by a warning on stderr.
 
 Exit codes: 0 success; 2 bad usage/config/parameters or missing files;
 3 truncation failure (requested state does not fit the basis);
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
 import enum
 import json
 import math
@@ -60,7 +58,7 @@ from .zassenhaus import (
 )
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "LINDBLAD_JC_THREADS"
+MIN_EIG_TOL = 1e-10   # min_eig below -MIN_EIG_TOL draws a warning
 
 ORACLE_EXPM = "oracle-expm"
 ORACLE_RK4 = "oracle-rk4"
@@ -215,19 +213,6 @@ def _parse_methods(v) -> tuple:
     return tuple(str(m).strip() for m in v)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV, "1").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"{THREADS_ENV} must be >= 0, got {n}")
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # initial states
 
@@ -362,17 +347,8 @@ def run_trajectory(cfg: RunConfig):
     rho0 = initial_state(cfg)
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
     oracle_states = _oracle_trajectory(rho0, ts, p)
-
-    threads = _threads_from_env()
-    if threads > 1 and len(cfg.methods) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {m: pool.submit(_method_trajectory, m, cfg, p, rho0, ts,
-                                      oracle_states)
-                       for m in cfg.methods}
-            trajectories = {m: f.result() for m, f in futures.items()}
-    else:
-        trajectories = {m: _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
-                        for m in cfg.methods}
+    trajectories = {m: _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
+                    for m in cfg.methods}
 
     columns = ["t"]
     for m in cfg.methods:
@@ -644,10 +620,23 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
     return 0
 
 
+def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
+    """One stderr line per method whose min_eig drops below -MIN_EIG_TOL."""
+    hint = ("use --step-mode stepping" if cfg.step_mode == "single-shot"
+            else "use a smaller max_step_scale")
+    for m in cfg.methods:
+        k = columns.index(f"{m.replace('-', '_')}_min_eig")
+        worst = min(rows, key=lambda row: row[k])
+        if worst[k] < -MIN_EIG_TOL:
+            print(f"warning: {m} min_eig reaches {worst[k]:.3g} at t = {worst[0]:.6g} "
+                  f"(unphysical state); {hint}", file=sys.stderr)
+
+
 def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
     if plotscript and (cfg.format != "csv" or cfg.out is None):
         raise ConfigError("--plotscript needs --out plus csv format")
     columns, rows = run_trajectory(cfg)
+    _warn_unphysical(cfg, columns, rows)
     if cfg.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -37,6 +37,13 @@ from .params import ModelParams
 BLOCK_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def block_phases(p: ModelParams) -> tuple:
+    """Detuning of each stacked block (rho00, rho01, rho10, rho11) under X:
+    block k evolves with the extra scalar factor e^{i phase_k t}, where the
+    phases are (0, -w0, +w0, 0)."""
+    return (0.0, -p.omega0, p.omega0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # vectorization
 
@@ -201,8 +208,8 @@ def _sparse_X(p: ModelParams) -> sp.csr_matrix:
     _, _, _, K0 = _sparse_k_generators(p.dim)
     base = -1j * p.omega0 * K0 + _sparse_lindblad(p)
     Iq = sp.identity(p.dim * p.dim, dtype=complex, format="csr")
-    shifts = (0.0, -1j * p.omega0, 1j * p.omega0, 0.0)
-    return sp.block_diag([base + s * Iq for s in shifts], format="csr")
+    return sp.block_diag([base + 1j * phase * Iq for phase in block_phases(p)],
+                         format="csr")
 
 
 def _sparse_Y(p: ModelParams) -> sp.csr_matrix:

@@ -8,7 +8,8 @@ of exponentials:
     e^{t(X+Y)} ~ e^{t^2/2 [X,Y]} e^{tY} e^{tX}      (Split3, local error h^3)
 
 e^{tX} is exact via the disentangled diagonal-block propagator; e^{tY} is
-exact via 2x2-block cos/sin matrices in the number operator; the commutator
+the unitary conjugation rho -> U rho U+ with the 2x2-block cos/sin matrix
+U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
 factor splits into two commuting exponentials built from the single-block
 operators A, B, C, D.
 
@@ -36,7 +37,14 @@ from .analytic import coherent_solution, diagonal_block_propagator, tau_series, 
 from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, coherent_state, cos_sqrt, creation, sinc_sqrt
 from .params import ModelParams
-from .superop import BLOCK_KEYS, BlockDensity, restrict_superop, warn_on_guard_occupation
+from .superop import (
+    BLOCK_KEYS,
+    BlockDensity,
+    _sparse_ladders,
+    block_phases,
+    restrict_superop,
+    warn_on_guard_occupation,
+)
 
 DEFAULT_STEP_BOUND = 1.0
 DEFAULT_PAD = 8
@@ -69,22 +77,35 @@ class CommutatorBlocks:
     D: np.ndarray
 
 
-def commutator_blocks(p: ModelParams) -> CommutatorBlocks:
-    d = p.dim
-    a = annihilation(d)
-    ad = creation(d)
-    I = np.eye(d, dtype=complex)
-    aI = np.kron(a, I)
-    adI = np.kron(ad, I)
-    IaT = np.kron(I, a.T)
-    IadT = np.kron(I, ad.T)
+@lru_cache(maxsize=16)
+def _sparse_commutator_blocks(p: ModelParams) -> tuple:
+    """(A, B, C, D) as sparse CSR matrices (cached, read-only)."""
+    a, ad, _, I = _sparse_ladders(p.dim)
+    aI = sp.kron(a, I)
+    adI = sp.kron(ad, I)
+    IaT = sp.kron(I, a.T)
+    IadT = sp.kron(I, ad.T)
     half = (p.mu + p.nu) / 2
-    return CommutatorBlocks(
-        A=half * aI - p.nu * IaT,
-        B=-half * adI + p.mu * IadT,
-        C=-p.nu * adI + half * IadT,
-        D=p.mu * aI - half * IaT,
-    )
+    return (half * aI - p.nu * IaT,
+            -half * adI + p.mu * IadT,
+            -p.nu * adI + half * IadT,
+            p.mu * aI - half * IaT)
+
+
+def commutator_blocks(p: ModelParams) -> CommutatorBlocks:
+    return CommutatorBlocks(*(M.toarray() for M in _sparse_commutator_blocks(p)))
+
+
+def _on_atom_index(M: np.ndarray, side: int) -> np.ndarray:
+    """Lift a 2q x 2q matrix M, a 2x2 nest of q x q blocks over one atom
+    index, to the 4q x 4q stacked space (block 2i+j holds rho_ij).
+
+    side 0 acts on the row index i and couples components (0,2) and (1,3);
+    side 1 acts on the column index j and couples (0,1) and (2,3).
+    """
+    q = M.shape[0] // 2
+    spec = "iakb,jl->ijaklb" if side == 0 else "jalb,ik->ijaklb"
+    return np.einsum(spec, M.reshape(2, q, 2, q), np.eye(2)).reshape(4 * q, 4 * q)
 
 
 def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
@@ -93,20 +114,9 @@ def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
         [X, Y1~] = [[0,0,A,0],[0,0,0,A],[B,0,0,0],[0,B,0,0]]
         [X, Y2~] = [[0,C,0,0],[D,0,0,0],[0,0,0,C],[0,0,D,0]]
     """
-    q = blocks.A.shape[0]
-    Z = np.zeros((q, q), dtype=complex)
-    G1 = np.block([
-        [Z, Z, blocks.A, Z],
-        [Z, Z, Z, blocks.A],
-        [blocks.B, Z, Z, Z],
-        [Z, blocks.B, Z, Z],
-    ])
-    G2 = np.block([
-        [Z, blocks.C, Z, Z],
-        [blocks.D, Z, Z, Z],
-        [Z, Z, Z, blocks.C],
-        [Z, Z, blocks.D, Z],
-    ])
+    Z = np.zeros_like(blocks.A)
+    G1 = _on_atom_index(np.block([[Z, blocks.A], [blocks.B, Z]]), side=0)
+    G2 = _on_atom_index(np.block([[Z, blocks.C], [blocks.D, Z]]), side=1)
     return -1j * p.Omega * (G1 - G2)
 
 
@@ -120,71 +130,45 @@ def exp_X(t: float, p: ModelParams) -> np.ndarray:
     d = p.dim
     q = d * d
     out = np.zeros((4 * q, 4 * q), dtype=complex)
-    for k, phase in enumerate((0.0, -p.omega0, p.omega0, 0.0)):
+    for k, phase in enumerate(block_phases(p)):
         out[k * q:(k + 1) * q, k * q:(k + 1) * q] = \
             diagonal_block_propagator(t, p, phase=phase)
     return out
 
 
-def _y_factors(t: float, p: ModelParams):
-    """The two 2x2-block cos/sin matrices whose reordered Kronecker product
-    is e^{tY}: M1 = exp(-i Omega t [[0,a],[a+,0]]) and its conjugate-parameter
-    partner M2 = exp(+i Omega t [[0,a],[a+,0]]), as lists of d x d blocks.
+def _coupling_blocks(t: float, p: ModelParams):
+    """U = exp(-i Omega t [[0,a],[a+,0]]) as a 2x2 nest of d x d blocks:
 
-        M1 = [[cos(c rP),        -i sinc(c rP) a],
-              [-i sinc(c rN) a+,  cos(c rN)]]
+        U = [[cos(c rP),        -i sinc(c rP) a],
+             [-i sinc(c rN) a+,  cos(c rN)]]
 
     with c = Omega t, rP = sqrt(N+1), rN = sqrt(N), sinc(c r) = sin(c r)/r.
+    e^{tY} is the conjugation rho -> U rho U+.
     """
     d = p.dim
     c = p.Omega * t
-    a = annihilation(d)
-    ad = creation(d)
-    cosP = cos_sqrt(c, d, shift=1)
-    cosN = cos_sqrt(c, d, shift=0)
-    sincP = sinc_sqrt(c, d, shift=1)
-    sincN = sinc_sqrt(c, d, shift=0)
-    M1 = [[cosP, -1j * sincP @ a], [-1j * sincN @ ad, cosN]]
-    M2 = [[cosP, +1j * sincP @ a], [+1j * sincN @ ad, cosN]]
-    return M1, M2
-
-
-def _y_right_factor(t: float, p: ModelParams):
-    """Right factor of the operator-form sandwich rho~ = M1 rho~1 R, in the
-    variant rewritten with a f(N) = f(N+1) a:
-
-        R = [[cos(c rP),          i a sinc(c rN)],
-             [i a+ sinc(c rP),    cos(c rN)]]
-    """
-    d = p.dim
-    c = p.Omega * t
-    a = annihilation(d)
-    ad = creation(d)
-    return [
-        [cos_sqrt(c, d, 1), 1j * a @ sinc_sqrt(c, d, 0)],
-        [1j * ad @ sinc_sqrt(c, d, 1), cos_sqrt(c, d, 0)],
-    ]
+    return [[cos_sqrt(c, d, shift=1), -1j * sinc_sqrt(c, d, shift=1) @ annihilation(d)],
+            [-1j * sinc_sqrt(c, d, shift=0) @ creation(d), cos_sqrt(c, d, shift=0)]]
 
 
 def exp_Y(t: float, p: ModelParams) -> np.ndarray:
-    """Dense e^{tY} on the stacked space: the Kronecker product of the two
-    cos/sin block matrices, reordered to the (block, fock-pair) layout.
-
-    Stacked block (2i+j, 2k+l) is M1[i][k] kron (M2^T)[j][l], with the
-    transpose taken blockwise and entrywise.
-    """
+    """Dense e^{tY} on the stacked space: U kron conj(U), reordered to the
+    (block, fock-pair) layout, so that stacked block (2i+j, 2k+l) is
+    U[i][k] kron conj(U)[j][l]."""
     d = p.dim
-    q = d * d
-    M1, M2 = _y_factors(t, p)
-    out = np.zeros((4 * q, 4 * q), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[(2 * i + j) * q:(2 * i + j + 1) * q,
-                        (2 * k + l) * q:(2 * k + l + 1) * q] = \
-                        np.kron(M1[i][k], M2[l][j].T)
-    return out
+    U = np.block(_coupling_blocks(t, p)).reshape(2, d, 2, d)
+    return np.einsum("imkp,jnlr->ijmnklpr", U, U.conj()).reshape(4 * d * d, 4 * d * d)
+
+
+@lru_cache(maxsize=16)
+def _sparse_pair_generators(p: ModelParams, pad: int):
+    """The two commutator-factor generators [[0,A],[B,0]] and [[0,C],[D,0]]
+    at cutoff dim+pad, sparse CSC (cached, read-only)."""
+    dp = p.dim + pad
+    A, B, C, D = _sparse_commutator_blocks(p.with_dim(dp))
+    G1 = sp.bmat([[None, A], [B, None]], format="csc")
+    G2 = sp.bmat([[None, C], [D, None]], format="csc")
+    return G1, G2, dp
 
 
 @lru_cache(maxsize=16)
@@ -198,40 +182,21 @@ def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
         F1 = expm(-i theta [[0,A],[B,0]])   couples (0,2) and (1,3)
         F2 = expm(+i theta [[0,C],[D,0]])   couples (0,1) and (2,3)
 
-    with theta = (t^2/2) Omega.  Returns ((f1 blocks), (f2 blocks), dp) with
-    each f a 2x2 nest of dp^2 x dp^2 arrays.  Cached: the arrays must be
-    treated as read-only.
+    with theta = (t^2/2) Omega.  Returns (F1, F2, dp), each F a
+    2 dp^2 x 2 dp^2 array.  Cached: the arrays must be treated as read-only.
     """
-    dp = p.dim + pad
-    blocks = commutator_blocks(p.with_dim(dp))
+    G1, G2, dp = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
-    q = dp * dp
-    Z = np.zeros((q, q), dtype=complex)
-    F1 = expm(-1j * theta * np.block([[Z, blocks.A], [blocks.B, Z]]))
-    F2 = expm(+1j * theta * np.block([[Z, blocks.C], [blocks.D, Z]]))
+    F1 = expm(-1j * theta * G1.toarray())
+    F2 = expm(+1j * theta * G2.toarray())
     if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
         raise NumericalError("commutator-factor exponential returned non-finite values")
-    f1 = ((F1[:q, :q], F1[:q, q:]), (F1[q:, :q], F1[q:, q:]))
-    f2 = ((F2[:q, :q], F2[:q, q:]), (F2[q:, :q], F2[q:, q:]))
-    return f1, f2, dp
+    return F1, F2, dp
 
 
 def _assemble_comm_factors(f1, f2, q: int):
-    """Place the pair-coupling blocks into full 4q x 4q matrices."""
-    Z = np.zeros((q, q), dtype=complex)
-    F1 = np.block([
-        [f1[0][0], Z, f1[0][1], Z],
-        [Z, f1[0][0], Z, f1[0][1]],
-        [f1[1][0], Z, f1[1][1], Z],
-        [Z, f1[1][0], Z, f1[1][1]],
-    ])
-    F2 = np.block([
-        [f2[0][0], f2[0][1], Z, Z],
-        [f2[1][0], f2[1][1], Z, Z],
-        [Z, Z, f2[0][0], f2[0][1]],
-        [Z, Z, f2[1][0], f2[1][1]],
-    ])
-    return F1, F2
+    """Place the pair-coupling factors into full 4q x 4q matrices."""
+    return _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
 
 
 def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarray:
@@ -251,24 +216,6 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # state propagation
-
-
-@lru_cache(maxsize=16)
-def _sparse_pair_generators(p: ModelParams, pad: int):
-    """Sparse versions of the two commutator-factor generators at dim+pad,
-    for applying the Split3 correction to states without a dense expm."""
-    dp = p.dim + pad
-    a = sp.csr_matrix(annihilation(dp))
-    ad = sp.csr_matrix(creation(dp))
-    I = sp.identity(dp, dtype=complex, format="csr")
-    half = (p.mu + p.nu) / 2
-    A = half * sp.kron(a, I) - p.nu * sp.kron(I, a.T)
-    B = -half * sp.kron(ad, I) + p.mu * sp.kron(I, ad.T)
-    C = -p.nu * sp.kron(ad, I) + half * sp.kron(I, ad.T)
-    D = p.mu * sp.kron(a, I) - half * sp.kron(I, a.T)
-    G1 = sp.bmat([[None, A], [B, None]], format="csc")
-    G2 = sp.bmat([[None, C], [D, None]], format="csc")
-    return G1, G2, dp
 
 
 def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
@@ -305,10 +252,11 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     Implemented in operator form (d x d block algebra) rather than through
     the dense superoperator: e^{tX} acts blockwise via the series form of
     the diagonal flow with scalar phases (0, -w0, +w0, 0), e^{tY} is the
-    sandwich rho~ = M1 rho~1 R, and the Split3 commutator factor acts
-    through sparse expm-vector products at the enlarged cutoff, compressed
-    afterwards.  The dense-matrix route (propagator_matrix) follows
-    independent numerics and agrees to ~1e-13; tests cross-check the two.
+    unitary conjugation rho~ = U rho~1 U+ applied block by block, and the
+    Split3 commutator factor acts through sparse expm-vector products at the
+    enlarged cutoff, compressed afterwards.  The dense-matrix route
+    (propagator_matrix) follows independent numerics and agrees to ~1e-13;
+    tests cross-check the two.
     """
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
@@ -319,10 +267,9 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "
             f"{t * p.rate:.3g} > {step_bound:.3g}; compose shorter steps")
 
-    phases = {(0, 0): 0.0, (0, 1): -p.omega0, (1, 0): +p.omega0, (1, 1): 0.0}
     tau = {
-        (i, j): np.exp(1j * phases[i, j] * t) * tau_series(rho0.block(i, j), t, p)
-        for i, j in BLOCK_KEYS
+        key: np.exp(1j * phase * t) * tau_series(rho0.block(*key), t, p)
+        for key, phase in zip(BLOCK_KEYS, block_phases(p))
     }
 
     if order is PropagatorOrder.DIAGONAL_ONLY:
@@ -330,17 +277,12 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         warn_on_guard_occupation(out)
         return out
 
-    M1 = _y_factors(t, p)[0]
-    R = _y_right_factor(t, p)
-    blocks = {}
-    for i in range(2):
-        for j in range(2):
-            s = np.zeros((p.dim, p.dim), dtype=complex)
-            for k in range(2):
-                for l in range(2):
-                    s += M1[i][k] @ tau[k, l] @ R[l][j]
-            blocks[i, j] = s
-    out = BlockDensity(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
+    # U rho U+ in d x d blocks: a single 2d x 2d product would be handed to
+    # multithreaded BLAS, which costs more CPU time than it saves here
+    U = _coupling_blocks(t, p)
+    half = {(i, l): U[i][0] @ tau[0, l] + U[i][1] @ tau[1, l] for i, l in BLOCK_KEYS}
+    out = BlockDensity(*(half[i, 0] @ U[j][0].conj().T + half[i, 1] @ U[j][1].conj().T
+                         for i, j in BLOCK_KEYS))
 
     if order is PropagatorOrder.SPLIT3:
         dp = p.dim + pad

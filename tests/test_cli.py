@@ -421,18 +421,22 @@ def test_main_plotscript_flag(tmp_path):
                  "--method", "split2", "--plotscript", str(gp)]) == 2
 
 
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch, capsys):
-    cfg = config_from_dict({"dim": 9, "points": 4, "t_max": 1.0, "alpha": 0.4,
-                            "methods": ["oracle-expm", "split2", "split3"]})
-    monkeypatch.setenv("LINDBLAD_JC_THREADS", "1")
-    cols1, rows1 = run_trajectory(cfg)
-    monkeypatch.setenv("LINDBLAD_JC_THREADS", "3")
-    cols2, rows2 = run_trajectory(cfg)
-    assert cols1 == cols2
-    assert rows1 == rows2
-    monkeypatch.setenv("LINDBLAD_JC_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        run_trajectory(cfg)
+def test_main_warns_on_unphysical_states(monkeypatch, capsys):
+    # single-shot split3 reaches a negative eigenvalue by t = 2: the run
+    # says so in one stderr line and prints the same CSV as without the check
+    argv = ["--dim", "10", "--alpha", "0.6", "--points", "3", "--tmax", "2",
+            "--method", "oracle-expm,split2,split3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    warned = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warned) == 1, captured.err
+    assert warned[0].startswith("warning: split3 min_eig reaches -")
+    assert warned[0].endswith("; use --step-mode stepping")
+    monkeypatch.setattr(cli, "_warn_unphysical", lambda *args: None)
+    assert main(argv) == 0
+    unchecked = capsys.readouterr()
+    assert "warning:" not in unchecked.err
+    assert unchecked.out == captured.out
 
 
 def test_propagator_order_values():

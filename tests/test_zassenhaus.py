@@ -10,12 +10,14 @@ from dampedjc import (
     ShapeError,
     StepError,
     TruncationWarning,
+    annihilation,
     assemble_commutator,
     build_X,
     build_Y,
     coherent_state,
     commutator_blocks,
     converged_expm,
+    creation,
     example_solution,
     exp_commutator,
     exp_X,
@@ -101,6 +103,30 @@ def test_exp_factors_at_t0():
     for f in (exp_X, exp_Y):
         assert np.abs(f(0.0, p) - np.eye(4 * d * d)).max() < 1e-14
     assert np.abs(exp_commutator(0.0, p, pad=4) - np.eye(4 * d * d)).max() < 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
+def test_coupling_blocks_give_exp_Y_as_unitary_conjugation():
+    # the nest U = exp(-i Omega t [[0,a],[a+,0]]) is exact on the retained
+    # levels and unitary away from the cutoff, and split2 is rho -> U rho U+
+    # applied to the diagonal-only result
+    from dampedjc.zassenhaus import _coupling_blocks
+    d, pad = 12, 8
+    p = P.with_dim(d)
+    rho0 = example_state(0.5, d)
+    interior = np.r_[0:d - 1, d:2 * d - 1]
+    dp = d + pad
+    Z = np.zeros((dp, dp))
+    H = np.block([[Z, annihilation(dp)], [creation(dp), Z]])
+    keep = np.r_[0:d, dp:dp + d]
+    for t in (0.0, 0.3, 1.7):
+        U = np.block(_coupling_blocks(t, p))
+        assert np.abs(U - expm(-1j * p.Omega * t * H)[np.ix_(keep, keep)]).max() < 1e-13
+        G = U.conj().T @ U - np.eye(2 * d)
+        assert np.abs(G[np.ix_(interior, interior)]).max() < 1e-13
+        tau = propagate(rho0, t, p, PropagatorOrder.DIAGONAL_ONLY, step_bound=2.0)
+        got = propagate(rho0, t, p, PropagatorOrder.SPLIT2, step_bound=2.0)
+        assert np.abs(got.full() - U @ tau.full() @ U.conj().T).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
