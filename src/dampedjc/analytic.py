@@ -115,25 +115,34 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
 
     Terms with n or m >= dim vanish identically (a^dim = 0), so the sums
     run to dim-1 by default; larger max_n/max_m are accepted and harmless.
+
+    Shift form, with no d x d matrix product: a X a+ is X[1:, 1:] scaled
+    by sqrt(i+1) sqrt(j+1) and stored top-left, and a+ X a is the mirror
+    image, X[:-1, :-1] scaled the same way and stored bottom-right.  So
+    term m (or n) lives on a (dim-m) x (dim-m) corner.  tau0 may carry
+    leading batch axes, shape (..., dim, dim); each dim x dim slice is
+    flowed independently.
     """
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
     tau0 = np.asarray(tau0, dtype=complex)
     d = p.dim
-    if tau0.shape != (d, d):
-        raise DomainError(f"tau0 must be {d}x{d} for dim={d}, got {tau0.shape}")
+    if tau0.shape[-2:] != (d, d):
+        raise DomainError(f"tau0 must be (..., {d}, {d}) for dim={d}, got {tau0.shape}")
     n_top = d - 1 if max_n is None else min(max_n, d - 1)
     m_top = d - 1 if max_m is None else min(max_m, d - 1)
 
     g = efg(t, p)
-    a = annihilation(d)
-    ad = creation(d)
+    # a[i, i+1] = root[i]: a X a+ scales X[i+1, j+1] by root[i] and root[j]
+    root = np.sqrt(np.arange(1.0, d))
+    col = root[:, None]
 
     inner = tau0.copy()
-    term = tau0.copy()
+    term = tau0
     for m in range(1, m_top + 1):
-        term = (g.E / m) * (a @ term @ ad)
-        inner = inner + term
+        k = d - m
+        term = (g.E / m) * ((col[:k] * term[..., 1:, 1:]) * root[:k])
+        inner[..., :k, :k] += term
 
     n_idx = np.arange(d)
     left = np.exp((-1j * p.omega0 * t - g.log_F) * n_idx)
@@ -141,10 +150,11 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
     mid = (left[:, None] * inner) * right[None, :]
 
     out = mid.copy()
-    term = mid.copy()
+    term = mid
     for n in range(1, n_top + 1):
-        term = (g.G / n) * (ad @ term @ a)
-        out = out + term
+        k = d - n
+        term = (g.G / n) * ((col[n - 1:] * term[..., :k, :k]) * root[n - 1:])
+        out[..., n:, n:] += term
 
     x = (p.mu - p.nu) * t / 2
     return math.exp(x - g.log_F) * out

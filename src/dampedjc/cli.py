@@ -4,7 +4,8 @@ Runs one or more propagation methods over a shared time grid, records a
 fixed set of observables per method per time, and writes CSV (default) or
 JSON.  Output is deterministic byte-for-byte for a given config: fixed
 float formatting and sorted config embedding.  A method whose states turn
-unphysical (negative eigenvalues) is reported by a warning on stderr.
+unphysical (negative eigenvalues) is reported by a warning on stderr, and
+so is single-shot mode lifting the split methods' step bound (a note).
 
 Exit codes: 0 success; 2 bad usage/config/parameters or missing files;
 3 truncation failure (requested state does not fit the basis);
@@ -632,10 +633,22 @@ def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
                   f"(unphysical state); {hint}", file=sys.stderr)
 
 
+def _note_raised_bound(cfg: RunConfig) -> None:
+    """One stderr line when single-shot mode lifts the step bound of the
+    split methods above DEFAULT_STEP_BOUND (see _method_trajectory)."""
+    reach = cfg.t_max * cfg.model_params().rate
+    if (cfg.step_mode == "single-shot" and reach > DEFAULT_STEP_BOUND
+            and any(m in SPLIT_METHODS for m in cfg.methods)):
+        print(f"note: single-shot raises the step bound to {reach:.6g}; "
+              f"split errors grow with t*rate, --step-mode stepping keeps each "
+              f"step within {DEFAULT_STEP_BOUND:g}", file=sys.stderr)
+
+
 def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
     if plotscript and (cfg.format != "csv" or cfg.out is None):
         raise ConfigError("--plotscript needs --out plus csv format")
     columns, rows = run_trajectory(cfg)
+    _note_raised_bound(cfg)
     _warn_unphysical(cfg, columns, rows)
     if cfg.format == "json":
         payload = {

@@ -13,6 +13,12 @@ U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
 factor splits into two commuting exponentials built from the single-block
 operators A, B, C, D.
 
+On a state, propagate applies the first two factors in shift form, with no
+d x d matrix product: the diagonal flow is one batched tau_series call on
+the four stacked blocks (ladder products as entrywise scalings plus index
+shifts), and U acts through its four nonzero diagonals (row scalings plus
+one-row shifts), O(d^2) work per term.
+
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
 e^{tY} the restriction is exact (their factors never couple through the
@@ -136,19 +142,49 @@ def exp_X(t: float, p: ModelParams) -> np.ndarray:
     return out
 
 
-def _coupling_blocks(t: float, p: ModelParams):
-    """U = exp(-i Omega t [[0,a],[a+,0]]) as a 2x2 nest of d x d blocks:
+def _coupling_diagonals(t: float, p: ModelParams):
+    """The nonzero diagonals of U = exp(-i Omega t [[0,a],[a+,0]]), the
+    2x2 nest of d x d blocks
 
         U = [[cos(c rP),        -i sinc(c rP) a],
              [-i sinc(c rN) a+,  cos(c rN)]]
 
     with c = Omega t, rP = sqrt(N+1), rN = sqrt(N), sinc(c r) = sin(c r)/r.
-    e^{tY} is the conjugation rho -> U rho U+.
+    Returns (cos_p, cos_n, up, down): the diagonals of the two diagonal
+    blocks, the superdiagonal of the (0,1) block and the subdiagonal of the
+    (1,0) block.  e^{tY} is the conjugation rho -> U rho U+.
     """
     d = p.dim
     c = p.Omega * t
-    return [[cos_sqrt(c, d, shift=1), -1j * sinc_sqrt(c, d, shift=1) @ annihilation(d)],
-            [-1j * sinc_sqrt(c, d, shift=0) @ creation(d), cos_sqrt(c, d, shift=0)]]
+    root = np.sqrt(np.arange(1.0, d))   # a[i, i+1] = a+[i+1, i] = root[i]
+    return (np.diagonal(cos_sqrt(c, d, shift=1)),
+            np.diagonal(cos_sqrt(c, d, shift=0)),
+            -1j * np.diagonal(sinc_sqrt(c, d, shift=1))[:-1] * root,
+            -1j * np.diagonal(sinc_sqrt(c, d, shift=0))[1:] * root)
+
+
+def _coupling_blocks(t: float, p: ModelParams):
+    """U of `_coupling_diagonals` as a 2x2 nest of dense d x d blocks."""
+    cos_p, cos_n, up, down = _coupling_diagonals(t, p)
+    return [[np.diag(cos_p), np.diag(up, 1)],
+            [np.diag(down, -1), np.diag(cos_n)]]
+
+
+def _coupling_left(diagonals, R: np.ndarray) -> np.ndarray:
+    """U R for R a 2x2 nest of d x d blocks, shape (2, 2, d, d): each block
+    row of U scales the rows of R and adds a one-row shift of the other."""
+    cos_p, cos_n, up, down = diagonals
+    out = np.empty_like(R)
+    out[0] = cos_p[:, None] * R[0]
+    out[0, :, :-1] += up[:, None] * R[1, :, 1:]
+    out[1] = cos_n[:, None] * R[1]
+    out[1, :, 1:] += down[:, None] * R[0, :, :-1]
+    return out
+
+
+def _dagger(R: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a 2x2 nest of d x d blocks, shape (2, 2, d, d)."""
+    return R.conj().transpose(1, 0, 3, 2)
 
 
 def exp_Y(t: float, p: ModelParams) -> np.ndarray:
@@ -249,14 +285,15 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     mu, w0) exceeds step_bound (default 1).  Longer evolutions should
     compose steps -- that is a harness-level choice, see the CLI.
 
-    Implemented in operator form (d x d block algebra) rather than through
-    the dense superoperator: e^{tX} acts blockwise via the series form of
-    the diagonal flow with scalar phases (0, -w0, +w0, 0), e^{tY} is the
-    unitary conjugation rho~ = U rho~1 U+ applied block by block, and the
-    Split3 commutator factor acts through sparse expm-vector products at the
-    enlarged cutoff, compressed afterwards.  The dense-matrix route
-    (propagator_matrix) follows independent numerics and agrees to ~1e-13;
-    tests cross-check the two.
+    Implemented in operator form rather than through the dense
+    superoperator, with no d x d matrix product: e^{tX} is one tau_series
+    call on the four blocks stacked along its batch axis (shift form),
+    times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
+    conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
+    applied through its diagonals; and the Split3 commutator factor acts
+    through sparse expm-vector products at the enlarged cutoff, compressed
+    afterwards.  The dense-matrix route (propagator_matrix) follows
+    independent numerics and agrees to ~1e-13; tests cross-check the two.
     """
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
@@ -267,34 +304,27 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "
             f"{t * p.rate:.3g} > {step_bound:.3g}; compose shorter steps")
 
-    tau = {
-        key: np.exp(1j * phase * t) * tau_series(rho0.block(*key), t, p)
-        for key, phase in zip(BLOCK_KEYS, block_phases(p))
-    }
+    d = p.dim
+    stacked = np.stack([rho0.block(*key) for key in BLOCK_KEYS])
+    phases = np.exp(1j * np.array(block_phases(p)) * t)
+    blocks = phases[:, None, None] * tau_series(stacked, t, p)
 
-    if order is PropagatorOrder.DIAGONAL_ONLY:
-        out = BlockDensity(tau[0, 0], tau[0, 1], tau[1, 0], tau[1, 1])
-        warn_on_guard_occupation(out)
-        return out
-
-    # U rho U+ in d x d blocks: a single 2d x 2d product would be handed to
-    # multithreaded BLAS, which costs more CPU time than it saves here
-    U = _coupling_blocks(t, p)
-    half = {(i, l): U[i][0] @ tau[0, l] + U[i][1] @ tau[1, l] for i, l in BLOCK_KEYS}
-    out = BlockDensity(*(half[i, 0] @ U[j][0].conj().T + half[i, 1] @ U[j][1].conj().T
-                         for i, j in BLOCK_KEYS))
+    if order is not PropagatorOrder.DIAGONAL_ONLY:
+        # U rho U+ = (U (U rho)+)+, U applied through its diagonals
+        diagonals = _coupling_diagonals(t, p)
+        half = _coupling_left(diagonals, blocks.reshape(2, 2, d, d))
+        blocks = _dagger(_coupling_left(diagonals, _dagger(half))).reshape(4, d, d)
 
     if order is PropagatorOrder.SPLIT3:
-        dp = p.dim + pad
-        padded = [np.zeros((dp, dp), dtype=complex) for _ in range(4)]
-        for v, (i, j) in zip(padded, BLOCK_KEYS):
-            v[:p.dim, :p.dim] = out.block(i, j)
-        parts = _apply_comm_factors([v.ravel() for v in padded], t, p, pad)
+        dp = d + pad
+        padded = np.zeros((4, dp, dp), dtype=complex)
+        padded[:, :d, :d] = blocks
+        parts = _apply_comm_factors(list(padded.reshape(4, dp * dp)), t, p, pad)
         if not all(np.all(np.isfinite(w)) for w in parts):
             raise NumericalError("commutator-factor action returned non-finite values")
-        out = BlockDensity(*(np.asarray(w).reshape(dp, dp)[:p.dim, :p.dim]
-                             for w in parts))
+        blocks = [np.asarray(w).reshape(dp, dp)[:d, :d] for w in parts]
 
+    out = BlockDensity(*blocks)
     warn_on_guard_occupation(out)
     return out
 

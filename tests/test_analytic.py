@@ -106,6 +106,22 @@ def test_tau_series_term_caps():
                   - tau_series(tau0, 0.8, P)).max() == 0
 
 
+def test_tau_series_batch_axis_matches_per_block_calls():
+    # a leading batch axis flows each slice exactly as a separate call would
+    rng = np.random.default_rng(16)
+    d = P.dim
+    stack = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    for t in (0.0, 0.8, 2.5):
+        for caps in ({}, {"max_n": 3, "max_m": 5}, {"max_n": 0, "max_m": 500}):
+            got = tau_series(stack, t, P, **caps)
+            want = np.stack([tau_series(block, t, P, **caps) for block in stack])
+            assert got.shape == (4, d, d)
+            assert (got == want).all()
+    for bad in (np.zeros((4, d, d + 1)), np.zeros((d + 1, d)), np.zeros(d)):
+        with pytest.raises(DomainError):
+            tau_series(bad, 0.5, P)
+
+
 def test_tau_series_t0_is_identity():
     rng = np.random.default_rng(15)
     tau0 = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))

@@ -439,6 +439,30 @@ def test_main_warns_on_unphysical_states(monkeypatch, capsys):
     assert unchecked.out == captured.out
 
 
+def test_main_notes_raised_step_bound(monkeypatch, capsys):
+    # single-shot to t_max * rate = 2 lifts the split step bound above 1:
+    # one note on stderr, and stdout is what a run without the note prints
+    base = ["--dim", "8", "--alpha", "0.4", "--points", "3"]
+    argv = base + ["--tmax", "2", "--method", "split2"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1, captured.err
+    assert notes[0].startswith("note: single-shot raises the step bound to 2;")
+    monkeypatch.setattr(cli, "_note_raised_bound", lambda *args: None)
+    assert main(argv) == 0
+    unnoted = capsys.readouterr()
+    assert "note:" not in unnoted.err
+    assert unnoted.out == captured.out
+    monkeypatch.undo()
+    # no note within the default bound, in stepping mode or without a split method
+    for extra in (["--tmax", "1", "--method", "split2"],
+                  ["--tmax", "2", "--method", "split2", "--step-mode", "stepping"],
+                  ["--tmax", "2", "--method", "oracle-expm,oracle-rk4"]):
+        assert main(base + extra) == 0
+        assert "note:" not in capsys.readouterr().err, extra
+
+
 def test_propagator_order_values():
     assert {o.value for o in PropagatorOrder} == {"diagonal-only", "split2", "split3"}
     assert {k.value for k in InitialKind} == {"vacuum-excited", "coherent-diagonal",
