@@ -23,16 +23,13 @@ from .fock import (
     coherent_tail_weight,
     cos_sqrt,
     creation,
-    embed_operator,
     func_of_number,
     number,
-    restrict_operator,
     sinc_sqrt,
 )
 from .superop import (
     BlockDensity,
     build_generator,
-    build_hamiltonian,
     build_X,
     build_Y,
     devectorize,
@@ -88,74 +85,3 @@ from .cli import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockDensity",
-    "ClassicalTrajectory",
-    "CommutatorBlocks",
-    "ConfigError",
-    "ConvergenceResult",
-    "DampedJCError",
-    "DiagnosticsReport",
-    "DomainError",
-    "EFG",
-    "ModelParams",
-    "NumericalError",
-    "ObservableRow",
-    "OracleConfig",
-    "OracleMethod",
-    "ParamError",
-    "PropagatorOrder",
-    "RunConfig",
-    "ShapeError",
-    "StepError",
-    "TruncationError",
-    "TruncationWarning",
-    "annihilation",
-    "assemble_commutator",
-    "build_generator",
-    "build_hamiltonian",
-    "build_X",
-    "build_Y",
-    "classical_trajectory",
-    "coherent_solution",
-    "coherent_state",
-    "coherent_tail_weight",
-    "commutator_blocks",
-    "convergence_study",
-    "converged_diagonal_expm",
-    "converged_expm",
-    "cos_sqrt",
-    "creation",
-    "devectorize",
-    "devectorize_blocks",
-    "diagnostics",
-    "diagonal_block_propagator",
-    "efg",
-    "embed_operator",
-    "emit_plotscript",
-    "example_solution",
-    "exp_commutator",
-    "exp_X",
-    "exp_Y",
-    "func_of_number",
-    "guard_occupation",
-    "k_generators",
-    "lindblad_superop",
-    "master_rhs",
-    "number",
-    "oracle_propagate",
-    "propagate",
-    "propagator_matrix",
-    "restrict_operator",
-    "restrict_superop",
-    "run_trajectory",
-    "sandwich_superop",
-    "sinc_sqrt",
-    "tau_series",
-    "trace_distance",
-    "vacuum_solution",
-    "vectorize",
-    "vectorize_blocks",
-    "__version__",
-]

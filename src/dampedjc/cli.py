@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 # expm and build_generator are not called here any more; perfbench/tracing.py
@@ -31,15 +31,7 @@ import numpy as np
 from scipy.linalg import expm  # noqa: F401
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericalError,
-    ParamError,
-    ShapeError,
-    StepError,
-    TruncationError,
-)
+from .errors import ConfigError, DampedJCError, NumericalError, StepError, TruncationError
 from .fock import annihilation, coherent_state, number
 from .oracle import OracleConfig, OracleMethod, oracle_propagate
 from .params import ModelParams
@@ -67,8 +59,8 @@ SPLIT_METHODS = ("diagonal-only", "split2", "split3")
 CLOSED_FORM = "closed-form-example"
 ALL_METHODS = (ORACLE_EXPM, ORACLE_RK4) + SPLIT_METHODS + (CLOSED_FORM,)
 
-OBSERVABLE_NAMES = ("trace", "p0", "p1", "mean_n", "re_a", "im_a",
-                    "tdist_oracle", "min_eig")
+# exit code of a package error; any other DampedJCError exits 2
+EXIT_CODES = {TruncationError: 3, NumericalError: 4, StepError: 4}
 
 
 class InitialKind(enum.Enum):
@@ -90,8 +82,10 @@ class ObservableRow:
     min_eig: float
 
     def values(self):
-        return (self.trace, self.p0, self.p1, self.mean_n,
-                self.re_a, self.im_a, self.tdist_oracle, self.min_eig)
+        return astuple(self)
+
+
+OBSERVABLE_NAMES = tuple(f.name for f in fields(ObservableRow))
 
 
 @dataclass(frozen=True)
@@ -166,14 +160,17 @@ class RunConfig:
         return d
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
+_FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float))
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON), rejecting
     unknown keys.  alpha may be a number, a string like "0.9+0.3j", or a
     [re, im] pair; methods may be a list or a comma-separated string."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(known)}")
+        raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_KEYS)}")
     clean = dict(data)
     if "alpha" in clean:
         clean["alpha"] = _parse_complex(clean["alpha"])
@@ -181,37 +178,48 @@ def config_from_dict(data: dict) -> RunConfig:
         clean["methods"] = _parse_methods(clean["methods"])
     if "points" in clean and isinstance(clean["points"], float) and clean["points"].is_integer():
         clean["points"] = int(clean["points"])
-    for key in ("omega0", "Omega", "mu", "nu", "t_max", "max_step_scale", "rk4_dt"):
+    for key in _FLOAT_KEYS:
         if key in clean:
             try:
                 clean[key] = float(clean[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"config key {key} must be a number, "
                                   f"got {clean[key]!r}") from None
     return RunConfig(**clean)
 
 
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, str):
-        try:
+    try:
+        if isinstance(v, (int, float, complex)):
+            return complex(v)
+        if isinstance(v, str):
             return complex(v.replace(" ", ""))
-        except ValueError:
-            raise ConfigError(f"cannot parse complex number from {v!r}") from None
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ConfigError(f"cannot parse complex number from {v!r}")
 
 
 def _parse_methods(v) -> tuple:
+    """Method names from a comma-separated string or a list of such strings."""
     if isinstance(v, str):
-        v = [m for m in v.split(",") if m]
+        v = [v]
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"methods must be a list or comma-separated string, got {v!r}")
-    return tuple(str(m).strip() for m in v)
+    return tuple(m.strip() for chunk in v for m in str(chunk).split(",") if m)
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at path; `what` names the file in errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot parse {what} {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +244,9 @@ def initial_state(cfg: RunConfig) -> BlockDensity:
 def load_state_file(path: str, dim: int) -> BlockDensity:
     """Read a block density matrix from JSON: {"dim": d, "blocks":
     {"rho00": [[[re, im], ...], ...], ...}} with all four blocks d x d."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"cannot parse state file {path}: {e}") from None
-    if not isinstance(data, dict) or "dim" not in data or "blocks" not in data:
-        raise ConfigError(f"state file {path} must contain 'dim' and 'blocks'")
+    data = _read_json(path, "state file")
+    if "dim" not in data or not isinstance(data.get("blocks"), dict):
+        raise ConfigError(f"state file {path} must contain 'dim' and a 'blocks' object")
     if data["dim"] != dim:
         raise ConfigError(f"state file dim {data['dim']} does not match configured "
                           f"dim {dim}")
@@ -329,11 +333,11 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
         return [propagate(rho0, float(t), p, order, step_bound=bound, pad=cfg.pad)
                 for t in ts]
     # stepping: compose short steps between grid points
-    h_max = cfg.max_step_scale / p.rate if p.rate > 0 else float("inf")
+    h_max = cfg.max_step_scale / p.rate
     out, cur = [rho0], rho0
     for i in range(1, len(ts)):
         seg = float(ts[i] - ts[i - 1])
-        n = max(1, int(math.ceil(seg / h_max - 1e-12))) if math.isfinite(h_max) else 1
+        n = max(1, int(math.ceil(seg / h_max - 1e-12)))
         h = seg / n
         bound = max(DEFAULT_STEP_BOUND, cfg.max_step_scale * (1 + 1e-9))
         for _ in range(n):
@@ -527,10 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", metavar="PATH", help="JSON config file; CLI flags override it")
     ap.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     ap.add_argument("--format", choices=("csv", "json"))
-    ap.add_argument("--method", action="append", metavar="NAME",
+    ap.add_argument("--method", action="append", metavar="NAME", dest="methods",
                     help=f"method to run (repeatable or comma-separated); "
                          f"choices: {', '.join(ALL_METHODS)}")
-    ap.add_argument("--tmax", type=float, metavar="T")
+    ap.add_argument("--tmax", type=float, metavar="T", dest="t_max")
     ap.add_argument("--points", type=int, metavar="N")
     ap.add_argument("--dim", type=int, metavar="D", help="Fock-space cutoff")
     ap.add_argument("--alpha", metavar="Z",
@@ -555,28 +559,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    data = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"cannot parse config file {args.config}: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-    overrides = {
-        "out": args.out, "format": args.format, "t_max": args.tmax,
-        "points": args.points, "dim": args.dim, "omega0": args.omega0,
-        "Omega": args.Omega, "mu": args.mu, "nu": args.nu,
-        "initial": args.initial, "initial_path": args.initial_path,
-        "step_mode": args.step_mode, "pad": args.pad, "rk4_dt": args.rk4_dt,
-    }
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.method:
-        overrides["methods"] = tuple(m for chunk in args.method
-                                     for m in chunk.split(",") if m)
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    """The config file (if any) overridden by every flag that was given;
+    flag dests that are RunConfig fields carry config values."""
+    data = _read_json(args.config, "config file") if args.config else {}
+    data.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
     return config_from_dict(data)
 
 
@@ -676,21 +662,12 @@ def main(argv=None) -> int:
         if args.study == "convergence":
             return _run_study(cfg, args.h_list)
         return _run_trajectory(cfg, args.plotscript)
-    except (ParamError, DomainError, ShapeError, ConfigError) as e:
+    except DampedJCError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(e, cls)), 2)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TruncationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (NumericalError, StepError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
     except (np.linalg.LinAlgError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}".rstrip(": "), file=sys.stderr)
         return 4

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, TruncationError
+from .errors import DomainError, TruncationError
 
 
 def _check_dim(dim) -> int:
@@ -109,24 +109,3 @@ def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
 
     return func_of_number(f, dim, shift)
 
-
-def embed_operator(op: np.ndarray, dim_to: int) -> np.ndarray:
-    """Zero-pad a dim x dim operator into the top-left of dim_to x dim_to."""
-    d = op.shape[0]
-    if op.shape != (d, d):
-        raise ShapeError(f"expected a square matrix, got {op.shape}")
-    if dim_to < d:
-        raise ShapeError(f"cannot embed dim {d} into smaller dim {dim_to}")
-    out = np.zeros((dim_to, dim_to), dtype=complex)
-    out[:d, :d] = op
-    return out
-
-
-def restrict_operator(op: np.ndarray, dim_to: int) -> np.ndarray:
-    """Keep the top-left dim_to x dim_to block."""
-    d = op.shape[0]
-    if op.shape != (d, d):
-        raise ShapeError(f"expected a square matrix, got {op.shape}")
-    if dim_to > d:
-        raise ShapeError(f"cannot restrict dim {d} to larger dim {dim_to}")
-    return op[:dim_to, :dim_to].copy()

@@ -47,6 +47,9 @@ from .superop import (
 )
 
 
+ORACLE_TOL = 1e-6   # post-hoc consistency bound on an oracle result
+
+
 class OracleMethod(enum.Enum):
     DENSE_EXPM = "dense-expm"
     RK4 = "rk4"
@@ -56,13 +59,10 @@ class OracleMethod(enum.Enum):
 class OracleConfig:
     method: OracleMethod = OracleMethod.DENSE_EXPM
     dt: float = 1e-3          # RK4 step size ceiling
-    tolerance: float = 1e-6   # post-hoc consistency bound on the result
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise DomainError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
-            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
 
     After integrating, the result is vetted: hermiticity defect,
     negative-eigenvalue excursion and trace drift relative to the input
-    must all stay below cfg.tolerance, else StepError.  Heavy occupation
+    must all stay below ORACLE_TOL, else StepError.  Heavy occupation
     of the top Fock levels only warns (TruncationWarning) -- it signals an
     undersized basis, not an integrator failure.
     """
@@ -180,11 +180,11 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     herm = np.abs(full - full.conj().T).max()
     neg = max(0.0, -float(np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min()))
     worst = max(drift, herm, neg)
-    if worst > cfg.tolerance:
+    if worst > ORACLE_TOL:
         raise StepError(
             f"oracle result fails consistency checks: trace drift {drift:.3e}, "
             f"hermiticity defect {herm:.3e}, negativity {neg:.3e} "
-            f"(tolerance {cfg.tolerance:.1e})")
+            f"(tolerance {ORACLE_TOL:.1e})")
     warn_on_guard_occupation(out)
     return out
 

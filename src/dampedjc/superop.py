@@ -188,6 +188,13 @@ def _sparse_ladders(dim: int):
             sp.csr_matrix(number(dim)), sp.identity(dim, dtype=complex, format="csr"))
 
 
+def _sparse_sides(dim: int):
+    """(a kron 1, a+ kron 1, 1 kron a^T, 1 kron (a+)^T): the ladder operators
+    acting from the left and from the right on a vectorized block."""
+    a, ad, _, I = _sparse_ladders(dim)
+    return sp.kron(a, I), sp.kron(ad, I), sp.kron(I, a.T), sp.kron(I, ad.T)
+
+
 def _sparse_k_generators(dim: int):
     a, ad, N, I = _sparse_ladders(dim)
     Kp = sp.kron(ad, a.T, format="csr")
@@ -213,11 +220,7 @@ def _sparse_X(p: ModelParams) -> sp.csr_matrix:
 
 
 def _sparse_Y(p: ModelParams) -> sp.csr_matrix:
-    a, ad, _, I = _sparse_ladders(p.dim)
-    aI = sp.kron(a, I)
-    adI = sp.kron(ad, I)
-    IaT = sp.kron(I, a.T)
-    IadT = sp.kron(I, ad.T)
+    aI, adI, IaT, IadT = _sparse_sides(p.dim)
     return -1j * p.Omega * sp.bmat([
         [None, -IadT, aI, None],
         [-IaT, None, None, aI],
@@ -284,27 +287,6 @@ def build_Y(p: ModelParams) -> np.ndarray:
 def build_generator(p: ModelParams) -> np.ndarray:
     """Full generator X + Y of the vectorized master equation, dense."""
     return sparse_generator(p).toarray()
-
-
-def build_hamiltonian(p: ModelParams):
-    """(H_diag, H_off): the 2x2-block Jaynes-Cummings Hamiltonian split into
-
-        H_diag = [[w0/2 + w0 N, 0], [0, -w0/2 + w0 N]]
-        H_off  = [[0, Omega a], [Omega a+, 0]]
-    """
-    d = p.dim
-    N = number(d)
-    I = np.eye(d, dtype=complex)
-    Z = np.zeros((d, d), dtype=complex)
-    H_diag = np.block([
-        [p.omega0 / 2 * I + p.omega0 * N, Z],
-        [Z, -p.omega0 / 2 * I + p.omega0 * N],
-    ])
-    H_off = np.block([
-        [Z, p.Omega * annihilation(d)],
-        [p.Omega * creation(d), Z],
-    ])
-    return H_diag, H_off
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .params import ModelParams
 from .superop import (
     BLOCK_KEYS,
     BlockDensity,
-    _sparse_ladders,
+    _sparse_sides,
     block_phases,
     restrict_superop,
     warn_on_guard_occupation,
@@ -83,14 +83,9 @@ class CommutatorBlocks:
     D: np.ndarray
 
 
-@lru_cache(maxsize=16)
 def _sparse_commutator_blocks(p: ModelParams) -> tuple:
-    """(A, B, C, D) as sparse CSR matrices (cached, read-only)."""
-    a, ad, _, I = _sparse_ladders(p.dim)
-    aI = sp.kron(a, I)
-    adI = sp.kron(ad, I)
-    IaT = sp.kron(I, a.T)
-    IadT = sp.kron(I, ad.T)
+    """(A, B, C, D) as sparse matrices."""
+    aI, adI, IaT, IadT = _sparse_sides(p.dim)
     half = (p.mu + p.nu) / 2
     return (half * aI - p.nu * IaT,
             -half * adI + p.mu * IadT,
@@ -199,7 +194,7 @@ def exp_Y(t: float, p: ModelParams) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _sparse_pair_generators(p: ModelParams, pad: int):
     """The two commutator-factor generators [[0,A],[B,0]] and [[0,C],[D,0]]
-    at cutoff dim+pad, sparse CSC (cached, read-only)."""
+    at cutoff dim+pad, sparse CSC.  Cached: every split3 step uses them."""
     dp = p.dim + pad
     A, B, C, D = _sparse_commutator_blocks(p.with_dim(dp))
     G1 = sp.bmat([[None, A], [B, None]], format="csc")
@@ -207,7 +202,6 @@ def _sparse_pair_generators(p: ModelParams, pad: int):
     return G1, G2, dp
 
 
-@lru_cache(maxsize=16)
 def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
     """The two commutator-factor exponentials at the enlarged cutoff.
 
@@ -219,7 +213,7 @@ def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
         F2 = expm(+i theta [[0,C],[D,0]])   couples (0,1) and (2,3)
 
     with theta = (t^2/2) Omega.  Returns (F1, F2, dp), each F a
-    2 dp^2 x 2 dp^2 array.  Cached: the arrays must be treated as read-only.
+    2 dp^2 x 2 dp^2 array.
     """
     G1, G2, dp = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
@@ -228,11 +222,6 @@ def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
     if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
         raise NumericalError("commutator-factor exponential returned non-finite values")
     return F1, F2, dp
-
-
-def _assemble_comm_factors(f1, f2, q: int):
-    """Place the pair-coupling factors into full 4q x 4q matrices."""
-    return _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
 
 
 def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarray:
@@ -246,7 +235,7 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
     f1, f2, dp = _comm_factor_blocks(t, p, pad)
-    F1, F2 = _assemble_comm_factors(f1, f2, dp * dp)
+    F1, F2 = _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
     return restrict_superop(F1 @ F2, dp, p.dim, nblocks=4)
 
 
@@ -295,6 +284,7 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     afterwards.  The dense-matrix route (propagator_matrix) follows
     independent numerics and agrees to ~1e-13; tests cross-check the two.
     """
+    order = PropagatorOrder(order)
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
     if rho0.dim != p.dim:
@@ -329,11 +319,11 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     return out
 
 
-@lru_cache(maxsize=16)
 def propagator_matrix(t: float, p: ModelParams,
                       order: PropagatorOrder = PropagatorOrder.SPLIT2,
                       pad: int = DEFAULT_PAD) -> np.ndarray:
-    """Dense 4 dim^2 matrix of the selected propagator (cached, read-only)."""
+    """Dense 4 dim^2 matrix of the selected propagator."""
+    order = PropagatorOrder(order)
     if order is PropagatorOrder.DIAGONAL_ONLY:
         return exp_X(t, p)
     mat = exp_Y(t, p) @ exp_X(t, p)

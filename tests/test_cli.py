@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -7,9 +8,13 @@ from scipy.linalg import expm
 
 from dampedjc import (
     ConfigError,
+    DomainError,
     ModelParams,
+    NumericalError,
     PropagatorOrder,
     RunConfig,
+    StepError,
+    TruncationError,
     coherent_state,
     convergence_study,
     emit_plotscript,
@@ -82,7 +87,7 @@ def test_config_rejects_garbage():
         config_from_dict({"t_max": -1.0})
     with pytest.raises(ConfigError):
         config_from_dict({"alpha": "one-ish"})
-    for alpha in ("nan", "inf", [0.5, float("nan")]):
+    for alpha in ("nan", "inf", [0.5, float("nan")], [1, "x"], [1, None]):
         with pytest.raises(ConfigError):
             config_from_dict({"alpha": alpha})
     with pytest.raises(ConfigError):
@@ -344,6 +349,10 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 2
+    # config file whose alpha pair is not numeric
+    bad_alpha = tmp_path / "alpha.json"
+    bad_alpha.write_text(json.dumps({"alpha": [1, "x"]}))
+    assert main(["--config", str(bad_alpha)]) == 2
     # coherent state does not fit the requested cutoff
     assert main(["--dim", "8", "--alpha", "2.0", "--points", "3",
                  "--out", str(out)]) == 3
@@ -365,6 +374,38 @@ def test_main_maps_linalg_and_memory_errors(tmp_path, monkeypatch, capsys, error
     assert main(["--dim", "8", "--out", str(tmp_path / "x.csv")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_rejects_malformed_json_files(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"dim": 8, "alpha": "\xe9"}')
+    assert main(["--config", str(not_utf8)]) == 2
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dim": 4, "blocks": 5}))
+    assert main(["--initial", "custom-file", "--initial-file", str(state),
+                 "--dim", "4", "--points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code", [(TruncationError("x"), 3),
+                                         (NumericalError("x"), 4),
+                                         (StepError("x"), 4),
+                                         (DomainError("x"), 2)])
+def test_main_maps_package_errors(tmp_path, monkeypatch, capsys, error, code):
+    def fail(cfg):
+        raise error
+    monkeypatch.setattr(cli, "run_trajectory", fail)
+    assert main(["--dim", "8", "--out", str(tmp_path / "x.csv")]) == code
+    assert capsys.readouterr().err == "error: x\n"
+
+
+def test_parser_dests_are_config_fields():
+    # flags reach RunConfig by dest name, so a flag whose dest is not a
+    # RunConfig field would be dropped without notice
+    config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = {action.dest for action in cli._build_parser()._actions}
+    assert dests - config_fields == {"help", "config", "study", "h_list", "plotscript"}
 
 
 def test_main_negative_alpha_spellings(tmp_path, capsys):

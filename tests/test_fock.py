@@ -6,17 +6,14 @@ from scipy.stats import poisson
 
 from dampedjc import (
     DomainError,
-    ShapeError,
     TruncationError,
     annihilation,
     coherent_state,
     coherent_tail_weight,
     cos_sqrt,
     creation,
-    embed_operator,
     func_of_number,
     number,
-    restrict_operator,
     sinc_sqrt,
 )
 
@@ -153,16 +150,3 @@ def test_ladder_function_shift_identity():
         rhs = a @ sinc_sqrt(x, d, 0)
         assert np.abs(lhs - rhs).max() == 0
 
-
-def test_embed_restrict_roundtrip():
-    rng = np.random.default_rng(11)
-    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    big = embed_operator(op, 7)
-    assert big.shape == (7, 7)
-    assert np.all(big[4:, :] == 0) and np.all(big[:, 4:] == 0)
-    back = restrict_operator(big, 4)
-    assert np.abs(back - op).max() == 0
-    with pytest.raises(ShapeError):
-        embed_operator(op, 3)
-    with pytest.raises(ShapeError):
-        restrict_operator(op, 9)

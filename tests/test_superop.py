@@ -7,7 +7,6 @@ from dampedjc import (
     ShapeError,
     annihilation,
     build_generator,
-    build_hamiltonian,
     build_X,
     build_Y,
     creation,
@@ -194,15 +193,6 @@ def test_generator_kills_trace_on_interior_states():
                 rho.block(i, j)[5, :] = 0
                 rho.block(i, j)[:, 5] = 0
         assert abs(tr_vec @ (gen @ vectorize_blocks(rho))) < 1e-12
-
-
-def test_build_hamiltonian_blocks():
-    p = ModelParams(omega0=2.0, Omega=0.3, mu=0.4, nu=0.0, dim=4)
-    H_diag, H_off = build_hamiltonian(p)
-    assert np.abs(H_diag[:4, :4] - (np.eye(4) + 2 * number(4))).max() < 1e-14   # w0(1/2 + N), w0=2
-    assert np.abs(H_off[:4, 4:] - p.Omega * annihilation(4)).max() == 0
-    full = H_diag + H_off
-    assert np.abs(full - full.conj().T).max() < 1e-14
 
 
 def test_restrict_superop_picks_subblock():

@@ -188,11 +188,11 @@ def test_exp_commutator_factors_commute_after_compression():
     # the two factor exponentials commute in the compressed algebra (their
     # generators do in the untruncated one); the uncompressed padded factors
     # do not -- ordering matters only through discarded levels
-    from dampedjc.zassenhaus import _assemble_comm_factors, _comm_factor_blocks
+    from dampedjc.zassenhaus import _comm_factor_blocks, _on_atom_index
     d = 8
     p = P.with_dim(d)
     f1, f2, dp = _comm_factor_blocks(0.4, p, 8)
-    F1, F2 = _assemble_comm_factors(f1, f2, dp * dp)
+    F1, F2 = _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
     ab = restrict_superop(F1 @ F2, dp, d, nblocks=4)
     ba = restrict_superop(F2 @ F1, dp, d, nblocks=4)
     assert np.abs(ab - ba).max() < 1e-10
@@ -211,6 +211,33 @@ def test_propagate_matches_matrix_path():
             got = propagate(rho0, t, p, order)
             want = propagator_matrix(t, p, order) @ vectorize_blocks(rho0)
             assert np.abs(vectorize_blocks(got) - want).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
+def test_order_accepts_value_strings():
+    d = 6
+    p = P.with_dim(d)
+    rho0 = example_state(0.1, d)
+    for order in PropagatorOrder:
+        assert np.array_equal(propagate(rho0, 0.3, p, order.value).full(),
+                              propagate(rho0, 0.3, p, order).full())
+        assert np.array_equal(propagator_matrix(0.3, p, order.value),
+                              propagator_matrix(0.3, p, order))
+    with pytest.raises(ValueError):
+        propagate(rho0, 0.3, p, "bogus")
+    with pytest.raises(ValueError):
+        propagator_matrix(0.3, p, "bogus")
+
+
+def test_dense_references_return_fresh_arrays():
+    # zeroing a returned matrix in place must not change the next call
+    p = P.with_dim(5)
+    for make in (lambda: propagator_matrix(0.3, p, PropagatorOrder.SPLIT3),
+                 lambda: exp_commutator(0.3, p)):
+        first = make()
+        want = first.copy()
+        first[:] = 0
+        assert np.array_equal(make(), want)
 
 
 def test_propagate_validation():
