@@ -44,8 +44,6 @@ from .superop import (
 )
 from .analytic import (
     EFG,
-    ClassicalTrajectory,
-    classical_trajectory,
     coherent_solution,
     diagonal_block_propagator,
     efg,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DomainError, ParamError
+from .errors import DomainError
 from .fock import annihilation, coherent_state, creation, number
 from .params import ModelParams
 from .superop import k_generators
@@ -105,8 +105,7 @@ def diagonal_block_propagator(t: float, p: ModelParams, phase: float = 0.0) -> n
     return _ladder_exp(Kp, g.G, d) @ (mid[:, None] * _ladder_exp(Km, g.E, d))
 
 
-def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
-               max_n: int | None = None, max_m: int | None = None) -> np.ndarray:
+def tau_series(tau0: np.ndarray, t: float, p: ModelParams) -> np.ndarray:
     """Double-series form of the diagonal flow applied to tau0:
 
         (e^{(mu-nu)t/2}/F) sum_n (G^n/n!) (a+)^n {
@@ -114,7 +113,7 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
             e^{(+i w0 t - log F) N} } a^n
 
     Terms with n or m >= dim vanish identically (a^dim = 0), so the sums
-    run to dim-1 by default; larger max_n/max_m are accepted and harmless.
+    run to dim-1.
 
     Shift form, with no d x d matrix product: a X a+ is X[1:, 1:] scaled
     by sqrt(i+1) sqrt(j+1) and stored top-left, and a+ X a is the mirror
@@ -129,8 +128,6 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
     d = p.dim
     if tau0.shape[-2:] != (d, d):
         raise DomainError(f"tau0 must be (..., {d}, {d}) for dim={d}, got {tau0.shape}")
-    n_top = d - 1 if max_n is None else min(max_n, d - 1)
-    m_top = d - 1 if max_m is None else min(max_m, d - 1)
 
     g = efg(t, p)
     # a[i, i+1] = root[i]: a X a+ scales X[i+1, j+1] by root[i] and root[j]
@@ -139,7 +136,7 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
 
     inner = tau0.copy()
     term = tau0
-    for m in range(1, m_top + 1):
+    for m in range(1, d):
         k = d - m
         term = (g.E / m) * ((col[:k] * term[..., 1:, 1:]) * root[:k])
         inner[..., :k, :k] += term
@@ -151,7 +148,7 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams,
 
     out = mid.copy()
     term = mid
-    for n in range(1, n_top + 1):
+    for n in range(1, d):
         k = d - n
         term = (g.G / n) * ((col[n - 1:] * term[..., :k, :k]) * root[n - 1:])
         out[..., n:, n:] += term
@@ -200,36 +197,3 @@ def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
               - number(p.dim))
     prefactor = (1 - g.G) * math.exp(abs(alpha) ** 2 * math.exp(-(p.mu - p.nu) * t) * log_G)
     return prefactor * expm(-log_G * braces)
-
-
-# ---------------------------------------------------------------------------
-# classical damped oscillator (cross-check for the first-moment dynamics)
-
-
-@dataclass(frozen=True)
-class ClassicalTrajectory:
-    """x'' + gamma x' + omega^2 x = 0 with omega > gamma/2 (underdamped)."""
-
-    gamma: float
-    omega: float
-    alpha: complex
-    x0: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ParamError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.omega > self.gamma / 2):
-            raise ParamError(
-                f"underdamped case requires omega > gamma/2 "
-                f"(omega={self.omega}, gamma={self.gamma})")
-
-
-def classical_trajectory(tr: ClassicalTrajectory, t: float, approx: bool = False) -> float:
-    """x(t) = {alpha e^{-(gamma/2 + i wt~) t} + conj(alpha) e^{-(gamma/2 - i wt~) t}} x(0)
-
-    with wt~ = sqrt(omega^2 - gamma^2/4); approx=True replaces wt~ by omega
-    (valid for small gamma/2 omega).
-    """
-    w = tr.omega if approx else math.sqrt(tr.omega ** 2 - (tr.gamma / 2) ** 2)
-    z = tr.alpha * np.exp(-(tr.gamma / 2 + 1j * w) * t)
-    return float(2 * z.real * tr.x0)

@@ -29,19 +29,12 @@ import numpy as np
 # expm and build_generator are not called here any more; perfbench/tracing.py
 # wraps these module-level names, so they stay bound in this module.
 from scipy.linalg import expm  # noqa: F401
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, DampedJCError, NumericalError, StepError, TruncationError
 from .fock import annihilation, coherent_state, number
-from .oracle import OracleConfig, OracleMethod, oracle_propagate
+from .oracle import OracleConfig, OracleMethod, oracle_propagate, oracle_trajectory
 from .params import ModelParams
-from .superop import (  # noqa: F401
-    BlockDensity,
-    build_generator,
-    devectorize_blocks,
-    sparse_generator,
-    vectorize_blocks,
-)
+from .superop import BLOCK_KEYS, BlockDensity, build_generator  # noqa: F401
 from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
@@ -250,8 +243,8 @@ def load_state_file(path: str, dim: int) -> BlockDensity:
     if data["dim"] != dim:
         raise ConfigError(f"state file dim {data['dim']} does not match configured "
                           f"dim {dim}")
-    blocks = {}
-    for key in ("rho00", "rho01", "rho10", "rho11"):
+    blocks = []
+    for key in (f"rho{i}{j}" for i, j in BLOCK_KEYS):
         if key not in data["blocks"]:
             raise ConfigError(f"state file {path} missing block {key}")
         try:
@@ -262,8 +255,8 @@ def load_state_file(path: str, dim: int) -> BlockDensity:
             raise ConfigError(
                 f"block {key} in {path} has shape {arr.shape}, expected "
                 f"({dim}, {dim}, 2) nested [re, im] entries")
-        blocks[key] = arr[..., 0] + 1j * arr[..., 1]
-    return BlockDensity(blocks["rho00"], blocks["rho01"], blocks["rho10"], blocks["rho11"])
+        blocks.append(arr[..., 0] + 1j * arr[..., 1])
+    return BlockDensity(*blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +291,6 @@ def observables(rho: BlockDensity, oracle_rho: BlockDensity) -> ObservableRow:
 
 # ---------------------------------------------------------------------------
 # trajectory runners
-
-
-def _oracle_trajectory(rho0: BlockDensity, ts: np.ndarray, p: ModelParams) -> list:
-    """Exact states on the uniform grid ts: one expm_multiply sweep of the
-    sparse generator over the whole grid."""
-    vecs = expm_multiply(sparse_generator(p), vectorize_blocks(rho0),
-                         start=float(ts[0]), stop=float(ts[-1]), num=len(ts),
-                         endpoint=True)
-    return [rho0] + [devectorize_blocks(v, p.dim) for v in vecs[1:]]
 
 
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
@@ -351,7 +335,7 @@ def run_trajectory(cfg: RunConfig):
     p = cfg.model_params()
     rho0 = initial_state(cfg)
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
-    oracle_states = _oracle_trajectory(rho0, ts, p)
+    oracle_states = oracle_trajectory(rho0, ts, p)
     trajectories = {m: _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
                     for m in cfg.methods}
 
@@ -380,9 +364,8 @@ class ConvergenceResult:
 
 
 def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
-                      orders=(PropagatorOrder.SPLIT2, PropagatorOrder.SPLIT3),
                       pad: int = DEFAULT_PAD) -> ConvergenceResult:
-    """Single-step error of each propagator versus step size.
+    """Single-step error of split2 and split3 versus step size.
 
     For each h the propagator is applied once and compared (trace distance)
     with the exact flow over the same h; the log-log slope estimates the
@@ -402,11 +385,10 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
     bound = max(DEFAULT_STEP_BOUND, max(h) * p.rate * (1 + 1e-9))
-    ocfg = OracleConfig()   # expm_multiply of the sparse generator
-    exact = {step: oracle_propagate(rho0, step, p, ocfg).full() for step in h}
+    exact = {step: oracle_propagate(rho0, step, p).full() for step in h}
     errors = {}
     slopes = {}
-    for order in orders:
+    for order in (PropagatorOrder.SPLIT2, PropagatorOrder.SPLIT3):
         errs = []
         for step in h:
             approx = propagate(rho0, step, p, order, step_bound=bound, pad=pad)

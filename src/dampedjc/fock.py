@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 
+TAIL_TOL = 1e-10   # largest Poisson weight a truncated coherent state may discard
+
 
 def _check_dim(dim) -> int:
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
@@ -54,20 +56,20 @@ def coherent_tail_weight(alpha: complex, dim: int) -> float:
     return max(0.0, 1.0 - retained)
 
 
-def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-10) -> np.ndarray:
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Truncated coherent state c_n = e^{-|a|^2/2} a^n / sqrt(n!), renormalized.
 
     Raises TruncationError when the discarded Poisson tail weight is >=
-    tail_tol, i.e. the cutoff is too small for this alpha.
+    TAIL_TOL, i.e. the cutoff is too small for this alpha.
     """
     dim = _check_dim(dim)
     if not cmath.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     tail = coherent_tail_weight(alpha, dim)
-    if tail >= tail_tol:
+    if tail >= TAIL_TOL:
         raise TruncationError(
             f"coherent state alpha={alpha} needs more than dim={dim} levels "
-            f"(discarded weight {tail:.3e} >= {tail_tol:.1e})"
+            f"(discarded weight {tail:.3e} >= {TAIL_TOL:.1e})"
         )
     c = np.empty(dim, dtype=complex)
     c[0] = math.exp(-abs(alpha) ** 2 / 2)

@@ -11,6 +11,9 @@ Two deliberately independent routes to the same flow:
   side written directly in d x d block algebra (never touching the
   superoperator code path).
 
+`oracle_trajectory` sweeps the DENSE_EXPM route over a uniform time grid;
+the CLI measures every method against it.
+
 Agreement between the two, and between them and the factored propagators,
 is the backbone of the test suite.  The module also provides dense
 enlarged-cutoff exponentials for the tests (`converged_expm`,
@@ -33,7 +36,7 @@ from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, creation, number
 from .params import ModelParams
 from .superop import (
-    GUARD_LEVELS,
+    BLOCK_KEYS,
     BlockDensity,
     build_generator,
     devectorize_blocks,
@@ -74,7 +77,7 @@ class DiagnosticsReport:
     guard_occupation: float    # population in the top guard Fock levels
 
 
-def diagnostics(rho: BlockDensity, guard: int = GUARD_LEVELS) -> DiagnosticsReport:
+def diagnostics(rho: BlockDensity) -> DiagnosticsReport:
     full = rho.full()
     herm = np.abs(full - full.conj().T).max()
     sym = 0.5 * (full + full.conj().T)
@@ -83,7 +86,7 @@ def diagnostics(rho: BlockDensity, guard: int = GUARD_LEVELS) -> DiagnosticsRepo
         trace_deviation=abs(full.trace().real - 1.0),
         hermiticity_defect=float(herm),
         min_eigenvalue=float(eigs.min()),
-        guard_occupation=guard_occupation(rho, guard),
+        guard_occupation=guard_occupation(rho),
     )
 
 
@@ -138,14 +141,29 @@ def _rk4_evolve(rho: BlockDensity, t: float, p: ModelParams, dt: float) -> Block
         cur = BlockDensity(*(
             cur.block(i, j) + (h / 6.0) * (k1.block(i, j) + 2 * k2.block(i, j)
                                            + 2 * k3.block(i, j) + k4.block(i, j))
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+            for i, j in BLOCK_KEYS
         ))
     return cur
 
 
 def _axpy(base: BlockDensity, delta: BlockDensity, c: float) -> BlockDensity:
     return BlockDensity(*(base.block(i, j) + c * delta.block(i, j)
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))))
+                          for i, j in BLOCK_KEYS))
+
+
+def _vet(rho: BlockDensity, trace0: complex) -> None:
+    """NumericalError if rho is not finite; StepError unless its trace drift
+    from trace0, hermiticity defect and negativity stay below ORACLE_TOL."""
+    if not np.all(np.isfinite(vectorize_blocks(rho))):
+        raise NumericalError("oracle integration produced non-finite entries")
+    rep = diagnostics(rho)
+    drift = abs(rho.trace() - trace0)
+    neg = max(0.0, -rep.min_eigenvalue)
+    if max(drift, rep.hermiticity_defect, neg) > ORACLE_TOL:
+        raise StepError(
+            f"oracle result fails consistency checks: trace drift {drift:.3e}, "
+            f"hermiticity defect {rep.hermiticity_defect:.3e}, negativity {neg:.3e} "
+            f"(tolerance {ORACLE_TOL:.1e})")
 
 
 def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -173,20 +191,23 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unknown oracle method {cfg.method!r}")
 
-    full = out.full()
-    if not np.all(np.isfinite(full)):
-        raise NumericalError("oracle integration produced non-finite entries")
-    drift = abs(full.trace() - rho0.full().trace())
-    herm = np.abs(full - full.conj().T).max()
-    neg = max(0.0, -float(np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min()))
-    worst = max(drift, herm, neg)
-    if worst > ORACLE_TOL:
-        raise StepError(
-            f"oracle result fails consistency checks: trace drift {drift:.3e}, "
-            f"hermiticity defect {herm:.3e}, negativity {neg:.3e} "
-            f"(tolerance {ORACLE_TOL:.1e})")
+    _vet(out, rho0.trace())
     warn_on_guard_occupation(out)
     return out
+
+
+def oracle_trajectory(rho0: BlockDensity, ts: np.ndarray, p: ModelParams) -> list:
+    """Exact states on the uniform grid ts, rho0 at ts[0]: one expm_multiply
+    sweep of the sparse generator.  Each state is vetted and guarded like
+    an oracle_propagate result."""
+    vecs = expm_multiply(sparse_generator(p), vectorize_blocks(rho0),
+                         start=float(ts[0]), stop=float(ts[-1]), num=len(ts),
+                         endpoint=True)
+    states = [rho0] + [devectorize_blocks(v, p.dim) for v in vecs[1:]]
+    for rho in states:
+        _vet(rho, rho0.trace())
+        warn_on_guard_occupation(rho)
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -133,14 +133,14 @@ GUARD_LEVELS = 3
 GUARD_TOL = 1e-8
 
 
-def guard_occupation(rho: BlockDensity, guard: int = GUARD_LEVELS) -> float:
-    """Total population in the top `guard` Fock levels.
+def guard_occupation(rho: BlockDensity) -> float:
+    """Total population in the top GUARD_LEVELS Fock levels.
 
     States whose weight reaches the edge of the truncated space are being
     corrupted by the cutoff; propagation routines warn when this exceeds
     GUARD_TOL.
     """
-    lo = max(0, rho.dim - guard)
+    lo = max(0, rho.dim - GUARD_LEVELS)
     occ = (np.diag(rho.rho00)[lo:].real.sum()
            + np.diag(rho.rho11)[lo:].real.sum())
     return float(occ)
@@ -150,7 +150,7 @@ def warn_on_guard_occupation(rho: BlockDensity) -> None:
     """TruncationWarning when the top GUARD_LEVELS Fock levels hold more than
     GUARD_TOL.  Call it from the public propagation routine itself: the
     warning is attributed to that routine's caller."""
-    occ = guard_occupation(rho, GUARD_LEVELS)
+    occ = guard_occupation(rho)
     if occ > GUARD_TOL:
         warnings.warn(
             f"top {GUARD_LEVELS} Fock levels hold occupation {occ:.3e} "
@@ -163,10 +163,8 @@ def vectorize_blocks(rho: BlockDensity) -> np.ndarray:
     return np.concatenate([rho.block(i, j).ravel() for i, j in BLOCK_KEYS])
 
 
-def devectorize_blocks(v: np.ndarray, dim: int | None = None) -> BlockDensity:
+def devectorize_blocks(v: np.ndarray, dim: int) -> BlockDensity:
     v = np.asarray(v, dtype=complex).ravel()
-    if dim is None:
-        dim = math.isqrt(v.size // 4)
     if 4 * dim * dim != v.size:
         raise ShapeError(f"length {v.size} is not 4*dim^2 for dim={dim}")
     q = dim * dim

@@ -71,10 +71,11 @@ class CommutatorBlocks:
         C = -nu a+ kron 1         + (mu+nu)/2 1 kron (a+)^T
         D =  mu a kron 1          - (mu+nu)/2 1 kron a^T
 
-    All four commute pairwise in the untruncated algebra; truncation
+    Only the cross pairs commute in the untruncated algebra: truncation
     preserves [A,D] = [B,C] = 0 exactly, while [A,C] and [B,D] pick up a
     defect confined to the last Fock level (removed by evaluating one level
-    higher and compressing).
+    higher and compressing).  Within a factor, [A,B] = [C,D] =
+    -((mu-nu)/2)^2 times the identity away from the cutoff.
     """
 
     A: np.ndarray
@@ -234,6 +235,8 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
     """
     if not (t >= 0):
         raise DomainError(f"t must be >= 0, got {t}")
+    if pad < 0:
+        raise DomainError(f"pad must be >= 0, got {pad}")
     f1, f2, dp = _comm_factor_blocks(t, p, pad)
     F1, F2 = _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
     return restrict_superop(F1 @ F2, dp, p.dim, nblocks=4)
@@ -289,6 +292,8 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         raise DomainError(f"t must be >= 0, got {t}")
     if rho0.dim != p.dim:
         raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
+    if pad < 0:
+        raise DomainError(f"pad must be >= 0, got {pad}")
     if t * p.rate > step_bound * (1 + 1e-12):
         raise StepError(
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from dampedjc import (
-    ClassicalTrajectory,
     DomainError,
     ModelParams,
-    ParamError,
     TruncationError,
     annihilation,
-    classical_trajectory,
     coherent_solution,
     coherent_state,
     converged_diagonal_expm,
@@ -90,33 +87,16 @@ def test_tau_series_matches_propagator_matrix():
         assert np.abs(got - want).max() < 1e-12
 
 
-def test_tau_series_term_caps():
-    rng = np.random.default_rng(14)
-    tau0 = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    # capping both sums at zero keeps only the diagonal factor
-    got = tau_series(tau0, 0.8, P, max_n=0, max_m=0)
-    g = efg(0.8, P)
-    n = np.arange(12)
-    left = np.exp((-1j * P.omega0 * 0.8 - g.log_F) * n)
-    right = np.exp((+1j * P.omega0 * 0.8 - g.log_F) * n)
-    want = math.exp((P.mu - P.nu) * 0.8 / 2 - g.log_F) * (left[:, None] * tau0 * right[None, :])
-    assert np.abs(got - want).max() < 1e-13
-    # caps beyond the nilpotency degree change nothing
-    assert np.abs(tau_series(tau0, 0.8, P, max_n=500, max_m=500)
-                  - tau_series(tau0, 0.8, P)).max() == 0
-
-
 def test_tau_series_batch_axis_matches_per_block_calls():
     # a leading batch axis flows each slice exactly as a separate call would
     rng = np.random.default_rng(16)
     d = P.dim
     stack = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
     for t in (0.0, 0.8, 2.5):
-        for caps in ({}, {"max_n": 3, "max_m": 5}, {"max_n": 0, "max_m": 500}):
-            got = tau_series(stack, t, P, **caps)
-            want = np.stack([tau_series(block, t, P, **caps) for block in stack])
-            assert got.shape == (4, d, d)
-            assert (got == want).all()
+        got = tau_series(stack, t, P)
+        want = np.stack([tau_series(block, t, P) for block in stack])
+        assert got.shape == (4, d, d)
+        assert (got == want).all()
     for bad in (np.zeros((4, d, d + 1)), np.zeros((d + 1, d)), np.zeros(d)):
         with pytest.raises(DomainError):
             tau_series(bad, 0.5, P)
@@ -189,46 +169,13 @@ def test_coherent_solution_domain():
         coherent_solution(2.0, 1.0, P.with_dim(8))
 
 
-def test_classical_trajectory_solves_ode():
-    # x'' + gamma x' + omega^2 x = 0, via centered finite differences
-    tr = ClassicalTrajectory(gamma=0.3, omega=2.0, alpha=0.5 + 0.2j, x0=1.7)
-    h = 1e-4
-    for t in (0.5, 2.0, 7.0):
-        xm = classical_trajectory(tr, t - h)
-        x0 = classical_trajectory(tr, t)
-        xp = classical_trajectory(tr, t + h)
-        acc = (xp - 2 * x0 + xm) / h ** 2
-        vel = (xp - xm) / (2 * h)
-        assert abs(acc + tr.gamma * vel + tr.omega ** 2 * x0) < 1e-5
-
-
-def test_classical_trajectory_approx():
-    # weak damping: replacing the shifted frequency by omega is a tiny error
-    tr = ClassicalTrajectory(gamma=0.01, omega=3.0, alpha=0.5, x0=1.0)
-    for t in (0.3, 1.0):
-        exact = classical_trajectory(tr, t)
-        approx = classical_trajectory(tr, t, approx=True)
-        assert abs(exact - approx) < 1e-4
-    # strong damping: the two disagree visibly
-    tr2 = ClassicalTrajectory(gamma=2.0, omega=1.5, alpha=0.5, x0=1.0)
-    assert abs(classical_trajectory(tr2, 2.0) - classical_trajectory(tr2, 2.0, approx=True)) > 1e-3
-
-
-def test_classical_trajectory_validation():
-    with pytest.raises(ParamError):
-        ClassicalTrajectory(gamma=1.0, omega=0.4, alpha=0.5, x0=1.0)   # overdamped
-    with pytest.raises(ParamError):
-        ClassicalTrajectory(gamma=0.0, omega=1.0, alpha=0.5, x0=1.0)
-
-
 def test_first_moment_matches_classical_oscillator():
-    # Re<a>(t) of the damped mode equals the (approximate) classical
-    # underdamped trajectory with gamma = mu - nu, omega = omega0
+    # <a>(t) of the damped mode is the amplitude of a classical damped
+    # oscillator: alpha e^{-((mu-nu)/2 + i omega0) t}, both parts
     p = P.with_dim(30)
     alpha = 0.9
-    tr = ClassicalTrajectory(gamma=p.mu - p.nu, omega=p.omega0,
-                             alpha=alpha / 2, x0=1.0)
     for t in (0.4, 1.2, 2.5):
         tau = coherent_solution(alpha, t, p)
         mean_a = np.trace(tau @ annihilation(30))
-        assert abs(mean_a.real - classical_trajectory(tr, t, approx=True)) < 1e-10
+        want = alpha * np.exp(-((p.mu - p.nu) / 2 + 1j * p.omega0) * t)
+        assert abs(mean_a - want) < 1e-10

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from dampedjc import (
@@ -20,7 +21,7 @@ from dampedjc import (
     emit_plotscript,
     run_trajectory,
 )
-from dampedjc import cli
+from dampedjc import cli, oracle
 from dampedjc.cli import (
     InitialKind,
     config_from_dict,
@@ -29,7 +30,7 @@ from dampedjc.cli import (
     main,
     observables,
 )
-from dampedjc.superop import build_generator, vectorize_blocks
+from dampedjc.superop import build_generator, sparse_generator, vectorize_blocks
 
 
 # fixtures here run deliberately small cutoffs to keep the suite fast, so the
@@ -173,7 +174,7 @@ def test_oracle_trajectory_matches_dense_expm_powers():
     p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=10)
     rho0 = initial_state(config_from_dict({"dim": 10, "alpha": 0.6 - 0.3j}))
     ts = np.linspace(0.0, 2.0, 21)
-    states = cli._oracle_trajectory(rho0, ts, p)
+    states = oracle.oracle_trajectory(rho0, ts, p)
     assert len(states) == len(ts)
     U = expm(float(ts[1]) * build_generator(p))
     vec = vectorize_blocks(rho0)
@@ -398,6 +399,19 @@ def test_main_maps_package_errors(tmp_path, monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "run_trajectory", fail)
     assert main(["--dim", "8", "--out", str(tmp_path / "x.csv")]) == code
     assert capsys.readouterr().err == "error: x\n"
+
+
+def test_main_vets_the_oracle_grid(tmp_path, monkeypatch, capsys):
+    # a generator that is not trace-preserving must stop the run (exit 4)
+    def leaky(p):
+        G = sparse_generator(p)
+        return G + 0.5 * sp.identity(G.shape[0], format="csr")
+    monkeypatch.setattr(oracle, "sparse_generator", leaky)
+    code, out = run_main(tmp_path)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle result fails") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_parser_dests_are_config_fields():

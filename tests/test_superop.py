@@ -90,7 +90,6 @@ def test_guard_occupation():
     rho.rho00[5, 5] = 0.25
     rho.rho11[3, 3] = 0.5   # level 3 is inside the default guard band of 3
     assert guard_occupation(rho) == pytest.approx(0.75)
-    assert guard_occupation(rho, guard=1) == pytest.approx(0.25)
 
 
 def test_su11_relations_interior():

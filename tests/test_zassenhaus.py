@@ -153,6 +153,13 @@ def test_commutator_pairs_with_edge_defect():
     assert np.abs(BD).max() > 1e-3
     for c in (AC, BD):
         assert np.abs(restrict_superop(c, d, d - 1)).max() < 1e-13
+    # within one factor the pairs do not commute: away from the cutoff
+    # [A,B] = [C,D] = -((mu-nu)/2)^2 times the identity
+    AB = blocks.A @ blocks.B - blocks.B @ blocks.A
+    CD = blocks.C @ blocks.D - blocks.D @ blocks.C
+    shift = ((P.mu - P.nu) / 2) ** 2 * np.eye((d - 1) ** 2)
+    for c in (AB, CD):
+        assert np.abs(restrict_superop(c, d, d - 1) + shift).max() < 1e-13
 
 
 def test_assembled_commutator_vs_direct():
@@ -248,6 +255,10 @@ def test_propagate_validation():
         propagate(example_state(0.4, 8), 0.1, P)
     with pytest.raises(StepError):
         propagate(rho0, 1.5, P)   # t * max(Omega, mu, omega0) = 1.5 > 1
+    with pytest.raises(DomainError):
+        propagate(rho0, 0.1, P, "split3", pad=-1)
+    with pytest.raises(DomainError):
+        exp_commutator(0.1, P, pad=-1)
     # explicit bound lifts the guard
     p = P.with_dim(14)
     propagate(example_state(0.5, 14), 1.5, p, step_bound=2.0)
