@@ -6,6 +6,7 @@ JSON.  Output is deterministic byte-for-byte for a given config: fixed
 float formatting and sorted config embedding.  A method whose states turn
 unphysical (negative eigenvalues) is reported by a warning on stderr, and
 so is single-shot mode lifting the split methods' step bound (a note).
+The TruncationWarnings of each method are counted into one warning line.
 
 Exit codes: 0 success; 2 bad usage/config/parameters or missing files;
 3 truncation failure (requested state does not fit the basis);
@@ -23,6 +24,8 @@ import math
 import os
 import re
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -30,11 +33,18 @@ import numpy as np
 # wraps these module-level names, so they stay bound in this module.
 from scipy.linalg import expm  # noqa: F401
 
-from .errors import ConfigError, DampedJCError, NumericalError, StepError, TruncationError
+from .errors import (
+    ConfigError,
+    DampedJCError,
+    NumericalError,
+    StepError,
+    TruncationError,
+    TruncationWarning,
+)
 from .fock import annihilation, coherent_state, number
 from .oracle import OracleConfig, OracleMethod, oracle_propagate, oracle_trajectory
 from .params import ModelParams
-from .superop import BLOCK_KEYS, BlockDensity, build_generator  # noqa: F401
+from .superop import BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity, build_generator  # noqa: F401
 from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
@@ -293,6 +303,26 @@ def observables(rho: BlockDensity, oracle_rho: BlockDensity) -> ObservableRow:
 # trajectory runners
 
 
+@contextmanager
+def _count_truncation_warnings(method: str):
+    """Fold the TruncationWarnings raised inside into one, which names the
+    method and counts them; other warnings pass through unchanged."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        yield
+    count = 0
+    for w in caught:
+        if issubclass(w.category, TruncationWarning):
+            count += 1
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if count:
+        warnings.warn(f"{method} raised {count} truncation warning"
+                      f"{'s' if count > 1 else ''}: the top {GUARD_LEVELS} Fock levels "
+                      f"hold more than {GUARD_TOL:.0e}; increase dim",
+                      TruncationWarning, stacklevel=3)
+
+
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
                        rho0: BlockDensity, ts: np.ndarray,
                        oracle_states: list) -> list:
@@ -331,13 +361,19 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
 
 
 def run_trajectory(cfg: RunConfig):
-    """Compute the full observable table.  Returns (column names, rows)."""
+    """Compute the full observable table.  Returns (column names, rows).
+
+    The TruncationWarnings of each method, and of the oracle grid as
+    oracle-expm, come out as one warning per method with their count."""
     p = cfg.model_params()
     rho0 = initial_state(cfg)
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
-    oracle_states = oracle_trajectory(rho0, ts, p)
-    trajectories = {m: _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
-                    for m in cfg.methods}
+    with _count_truncation_warnings(ORACLE_EXPM):
+        oracle_states = oracle_trajectory(rho0, ts, p)
+    trajectories = {}
+    for m in cfg.methods:
+        with _count_truncation_warnings(m):
+            trajectories[m] = _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
 
     columns = ["t"]
     for m in cfg.methods:
@@ -373,6 +409,7 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
     three positive values in geometric progression.  When all errors sit at
     rounding level (< 1e-12) the slope is meaningless and is reported as
     None ("exact"), e.g. for Omega = 0 where the splitting is exact.
+    TruncationWarnings come out as one per method, as in run_trajectory.
     """
     h = tuple(float(x) for x in h_list)
     if len(h) < 3:
@@ -385,14 +422,16 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
     bound = max(DEFAULT_STEP_BOUND, max(h) * p.rate * (1 + 1e-9))
-    exact = {step: oracle_propagate(rho0, step, p).full() for step in h}
+    with _count_truncation_warnings(ORACLE_EXPM):
+        exact = {step: oracle_propagate(rho0, step, p).full() for step in h}
     errors = {}
     slopes = {}
     for order in (PropagatorOrder.SPLIT2, PropagatorOrder.SPLIT3):
         errs = []
-        for step in h:
-            approx = propagate(rho0, step, p, order, step_bound=bound, pad=pad)
-            errs.append(trace_distance(approx.full(), exact[step]))
+        with _count_truncation_warnings(order.value):
+            for step in h:
+                approx = propagate(rho0, step, p, order, step_bound=bound, pad=pad)
+                errs.append(trace_distance(approx.full(), exact[step]))
         errors[order.value] = tuple(errs)
         if max(errs) < 1e-12:
             slopes[order.value] = None
@@ -557,7 +596,8 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
         raise ConfigError(f"cannot parse --h-list {h_list_arg!r}") from None
     p = cfg.model_params()
     rho0 = initial_state(cfg)
-    result = convergence_study(rho0, p, h_list, pad=cfg.pad)
+    with _truncation_warnings_as_lines():
+        result = convergence_study(rho0, p, h_list, pad=cfg.pad)
 
     names = [o for o in result.errors]
     comments = [f"schema_version={SCHEMA_VERSION}", "study=convergence",
@@ -589,6 +629,22 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
     return 0
 
 
+@contextmanager
+def _truncation_warnings_as_lines():
+    """Print each TruncationWarning raised inside as one `warning:` line on
+    stderr, in place of Python's two-line format; the filters in force still
+    decide which are shown, and other warnings are shown as usual."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        for w in caught:
+            if issubclass(w.category, TruncationWarning):
+                print(f"warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
     """One stderr line per method whose min_eig drops below -MIN_EIG_TOL."""
     hint = ("use --step-mode stepping" if cfg.step_mode == "single-shot"
@@ -615,7 +671,8 @@ def _note_raised_bound(cfg: RunConfig) -> None:
 def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
     if plotscript and (cfg.format != "csv" or cfg.out is None):
         raise ConfigError("--plotscript needs --out plus csv format")
-    columns, rows = run_trajectory(cfg)
+    with _truncation_warnings_as_lines():
+        columns, rows = run_trajectory(cfg)
     _note_raised_bound(cfg)
     _warn_unphysical(cfg, columns, rows)
     if cfg.format == "json":

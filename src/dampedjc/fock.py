@@ -81,14 +81,17 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
 def func_of_number(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
     """diag(f(n + shift)) for n = 0..dim-1; shift in {0, 1} selects N or N+1.
 
-    Used for cos(x sqrt(N+1)), sin(x sqrt(N))/sqrt(N) and friends; the
-    function is evaluated on integers only, so operator identities such as
-    a f(N) = f(N+1) a hold exactly on the retained levels.
+    Used for cos(x sqrt(N+1)), sin(x sqrt(N))/sqrt(N) and friends.  f is
+    called once, on the integer array n + shift, and must work elementwise
+    (numpy ufuncs); a scalar result is broadcast to every level.  Since f
+    sees integers only, operator identities such as a f(N) = f(N+1) a hold
+    exactly on the retained levels.
     """
     dim = _check_dim(dim)
     if shift not in (0, 1):
         raise DomainError(f"shift must be 0 or 1, got {shift!r}")
-    values = np.asarray([f(n + shift) for n in range(dim)], dtype=complex)
+    values = np.asarray(f(np.arange(shift, dim + shift)), dtype=complex)
+    values = np.broadcast_to(values, (dim,))
     if not np.all(np.isfinite(values)):
         raise DomainError("func_of_number: f returned non-finite values")
     return np.diag(values)
@@ -96,7 +99,7 @@ def func_of_number(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
 
 def cos_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
     """diag(cos(x sqrt(n + shift)))."""
-    return func_of_number(lambda n: math.cos(x * math.sqrt(n)), dim, shift)
+    return func_of_number(lambda n: np.cos(x * np.sqrt(n)), dim, shift)
 
 
 def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
@@ -104,10 +107,7 @@ def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
     entry set to its analytic limit x (sin(x s)/s -> x as s -> 0)."""
 
     def f(n):
-        if n == 0:
-            return x
-        r = math.sqrt(n)
-        return math.sin(x * r) / r
+        r = np.sqrt(np.maximum(n, 1))
+        return np.where(n == 0, x, np.sin(x * r) / r)
 
     return func_of_number(f, dim, shift)
-

@@ -13,11 +13,12 @@ U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
 factor splits into two commuting exponentials built from the single-block
 operators A, B, C, D.
 
-On a state, propagate applies the first two factors in shift form, with no
-d x d matrix product: the diagonal flow is one batched tau_series call on
-the four stacked blocks (ladder products as entrywise scalings plus index
-shifts), and U acts through its four nonzero diagonals (row scalings plus
-one-row shifts), O(d^2) work per term.
+On a state, propagate applies the first two factors with no Python loop
+over Fock levels or series terms: the diagonal flow is one batched
+tau_series call on the four stacked blocks, in which each of the two series
+is one real GEMM with a triangular Toeplitz matrix along the diagonals of
+the blocks in a factorial-scaled basis, and U acts through its four nonzero
+diagonals (row scalings plus one-row shifts), O(d^2) work.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -278,14 +279,15 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     compose steps -- that is a harness-level choice, see the CLI.
 
     Implemented in operator form rather than through the dense
-    superoperator, with no d x d matrix product: e^{tX} is one tau_series
-    call on the four blocks stacked along its batch axis (shift form),
-    times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
-    conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
-    applied through its diagonals; and the Split3 commutator factor acts
-    through sparse expm-vector products at the enlarged cutoff, compressed
-    afterwards.  The dense-matrix route (propagator_matrix) follows
-    independent numerics and agrees to ~1e-13; tests cross-check the two.
+    superoperator: e^{tX} is one tau_series call on the four blocks stacked
+    along its batch axis (two real GEMMs with triangular Toeplitz matrices
+    along the diagonals, in the factorial-scaled basis), times the scalar
+    phases (0, -w0, +w0, 0); e^{tY} is the unitary conjugation
+    rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U applied through
+    its diagonals; and the Split3 commutator factor acts through sparse
+    expm-vector products at the enlarged cutoff, compressed afterwards.
+    The dense-matrix route (propagator_matrix) follows independent numerics
+    and agrees to ~1e-13; tests cross-check the two.
     """
     order = PropagatorOrder(order)
     if not (t >= 0):

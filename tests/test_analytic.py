@@ -179,3 +179,40 @@ def test_first_moment_matches_classical_oscillator():
         mean_a = np.trace(tau @ annihilation(30))
         want = alpha * np.exp(-((p.mu - p.nu) / 2 + 1j * p.omega0) * t)
         assert abs(mean_a - want) < 1e-10
+
+
+def test_tau_series_beyond_factorial_overflow():
+    # above dim 170, n! overflows a double; the scaled basis keeps every
+    # intermediate in range, so the flow still matches the closed forms
+    d = 300
+    p = P.with_dim(d)
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 1.0
+    alpha = 3.0
+    ket = coherent_state(alpha, d)
+    coh = np.outer(ket, ket.conj())
+    for t in (0.01, 2.0, 500.0):
+        got = tau_series(np.stack([vac, coh]), t, p)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got[0] - vacuum_solution(t, p)).max() < 1e-12
+        assert np.abs(got[1] - coherent_solution(alpha, t, p)).max() < 1e-12
+
+
+def test_tau_series_edge_kernels_at_large_dim():
+    # t = 0 gives E = 0 (no m-sum term beyond the first) and nu = 0 gives
+    # G = 0 (no n-sum term): the identity, and pure damping, which keeps a
+    # coherent state coherent with beta = alpha e^{-(mu/2 + i w0) t}
+    d = 300
+    rng = np.random.default_rng(17)
+    tau0 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert efg(0.0, P).E == 0.0
+    assert np.abs(tau_series(tau0, 0.0, P.with_dim(d)) - tau0).max() < 1e-12
+    damped = ModelParams(omega0=1.0, Omega=0.0, mu=0.4, nu=0.0, dim=d)
+    alpha = 3.0 - 1.0j
+    ket = coherent_state(alpha, d)
+    for t in (0.01, 2.0, 500.0):
+        assert efg(t, damped).G == 0.0
+        got = tau_series(np.outer(ket, ket.conj()), t, damped)
+        beta = alpha * np.exp(-(damped.mu / 2 + 1j * damped.omega0) * t)
+        out = coherent_state(beta, d)
+        assert np.abs(got - np.outer(out, out.conj())).max() < 1e-12

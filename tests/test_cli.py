@@ -1,12 +1,18 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
+import dampedjc
 from dampedjc import (
     ConfigError,
     DomainError,
@@ -16,9 +22,11 @@ from dampedjc import (
     RunConfig,
     StepError,
     TruncationError,
+    TruncationWarning,
     coherent_state,
     convergence_study,
     emit_plotscript,
+    propagate,
     run_trajectory,
 )
 from dampedjc import cli, oracle
@@ -522,3 +530,38 @@ def test_propagator_order_values():
     assert {o.value for o in PropagatorOrder} == {"diagonal-only", "split2", "split3"}
     assert {k.value for k in InitialKind} == {"vacuum-excited", "coherent-diagonal",
                                               "custom-file"}
+
+
+def test_main_prints_one_line_per_method_for_truncation_warnings():
+    # states that fill the guard levels: each method's TruncationWarnings
+    # become one counted `warning:` line, with no Python-format pair, and
+    # stdout is what the run prints with warnings off
+    argv = ["--dim", "10", "--tmax", "1.0", "--points", "5", "--alpha=-0.3+0.2j"]
+    script = "import sys; from dampedjc.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(dampedjc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    shown, quiet = (subprocess.run([sys.executable, *flags, "-c", script, *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+                    for flags in ([], ["-W", "ignore"]))
+    assert shown.returncode == quiet.returncode == 0
+    assert shown.stdout == quiet.stdout
+    lines = shown.stderr.splitlines()
+    assert all(line.startswith(("warning: ", "note: ")) for line in lines), shown.stderr
+    counted = [line for line in lines if "truncation warning" in line]
+    assert [line.split(":")[1] for line in counted] == [
+        " oracle-expm raised 3 truncation warnings",
+        " split2 raised 2 truncation warnings",
+        " split3 raised 2 truncation warnings"]
+    assert "truncation warning" not in quiet.stderr
+    # a library caller gets one TruncationWarning per method, and propagate
+    # itself still warns on every call
+    cfg = config_from_dict({"dim": 10, "t_max": 1.0, "points": 5, "alpha": [-0.3, 0.2],
+                            "methods": ["split2"]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_trajectory(cfg)
+        propagate(initial_state(cfg), 1.0, cfg.model_params(), step_bound=2.0)
+    assert [w.category for w in caught] == [TruncationWarning] * 3
+    assert [str(w.message).split(" raised")[0] for w in caught[:2]] == ["oracle-expm", "split2"]
+    assert str(caught[2].message).startswith("top 3 Fock levels hold occupation")

@@ -1,26 +1,36 @@
 """Property-based checks of the split-step kernels over drawn parameters.
 
-The shift-form diagonal flow (tau_series) and the diagonal-band coupling
+The Toeplitz-form diagonal flow (tau_series) and the diagonal-band coupling
 sandwich in propagate are compared with their dense matrix forms, to 1e-12
-relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2.
+relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2.  Over the
+same draws, the diagonal flow and split2 keep random states positive at any
+t; split2 of the vacuum/coherent example state against its closed form, for
+any coherent amplitude the cutoff holds, is a known failure (xfail).
 """
 
+import cmath
+import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dampedjc import (
     BlockDensity,
     ModelParams,
     PropagatorOrder,
+    coherent_state,
+    coherent_tail_weight,
     devectorize,
     diagonal_block_propagator,
+    example_solution,
     propagate,
     tau_series,
     vectorize,
 )
+from dampedjc.fock import TAIL_TOL
 from dampedjc.zassenhaus import _coupling_blocks
 
 RTOL = 1e-12
@@ -69,3 +79,65 @@ def test_split2_is_coupling_conjugation_of_diagonal_flow(p, t, seed):
         got = propagate(rho0, t, p, PropagatorOrder.SPLIT2, step_bound=bound)
     U = np.block(_coupling_blocks(t, p))
     assert_close(got.full(), U @ tau.full() @ U.conj().T)
+
+
+def random_state(seed, d):
+    """A random density matrix on the 2d-dimensional stacked space, of
+    random rank 1..2d, as a BlockDensity with unit trace."""
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 2 * d + 1))
+    A = rng.standard_normal((2 * d, rank)) + 1j * rng.standard_normal((2 * d, rank))
+    rho = A @ A.conj().T
+    return BlockDensity.from_full(rho / np.trace(rho).real)
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=models(), t=times, seed=seeds)
+def test_diagonal_flow_and_split2_keep_states_positive(p, t, seed):
+    # both factors are completely positive on the truncated space, so no
+    # step bound is needed: single shot at any t
+    rho0 = random_state(seed, p.dim)
+    bound = max(1.0, t * p.rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for order in (PropagatorOrder.DIAGONAL_ONLY, PropagatorOrder.SPLIT2):
+            full = propagate(rho0, t, p, order, step_bound=bound).full()
+            assert np.linalg.eigvalsh((full + full.conj().T) / 2).min() >= -1e-12
+
+
+def max_alpha(d):
+    """Largest |alpha| whose coherent state fits dim d (tail < TAIL_TOL)."""
+    lo, hi = 0.0, math.sqrt(d)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if coherent_tail_weight(mid, d) < TAIL_TOL else (lo, mid)
+    return lo
+
+
+# Known to fail (see CHANGES.md, FOUND): coherent_solution exponentiates the
+# truncated ladder operators, so once the evolved state reaches the cutoff it
+# is not the flow on the retained levels (1e-6 relative at dim 16, mu = 2,
+# nu = 1, t = 1, |alpha| = 0.67), and it raises ValueError when G underflows
+# to 0 at a tiny t > 0.  Strict, so a fix shows up as an unexpected pass; the
+# shrink phase is off to keep the expected failure cheap.
+@pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError),
+                   reason="example_solution is inexact near the cutoff and at tiny t")
+@settings(derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(p=models().filter(lambda p: p.nu > 0), t=times.filter(lambda t: t > 0),
+       radius=st.floats(min_value=0.0, max_value=1.0),
+       angle=st.floats(min_value=0.0, max_value=2 * math.pi))
+def test_example_solution_matches_split2_for_random_alpha(p, t, radius, angle):
+    # the closed form's domain: nu > 0, t > 0 and any alpha the cutoff holds
+    alpha = radius * max_alpha(p.dim) * cmath.exp(1j * angle)
+    d = p.dim
+    ket = coherent_state(alpha, d)
+    vac = np.zeros((d, d), dtype=complex)
+    vac[0, 0] = 0.5
+    zero = np.zeros((d, d), dtype=complex)
+    rho0 = BlockDensity(vac, zero, zero, 0.5 * np.outer(ket, ket.conj()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = propagate(rho0, t, p, PropagatorOrder.SPLIT2,
+                         step_bound=max(1.0, t * p.rate)).full()
+    assert_close(example_solution(alpha, t, p).full(), want)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import dampedjc
 from dampedjc import (
     BlockDensity,
     DomainError,
@@ -371,3 +377,20 @@ def test_example_solution_block_symmetry():
     rho = example_solution(1.0, 0.6, P.with_dim(20))
     assert np.abs(rho.rho10 - rho.rho01.conj().T).max() < 1e-13
     assert abs(rho.trace() - 1.0) < 1e-12
+
+
+def test_split3_step_leaves_scipy_special_unimported():
+    # importing scipy.special adds about 0.07 s to start-up: a fresh process
+    # that imports dampedjc and takes one split3 step must not load it
+    script = (
+        "import sys\n"
+        "from dampedjc import ModelParams, PropagatorOrder, propagate\n"
+        "from dampedjc.cli import config_from_dict, initial_state\n"
+        "cfg = config_from_dict({'dim': 16})\n"
+        "propagate(initial_state(cfg), 0.01, cfg.model_params(), PropagatorOrder.SPLIT3)\n"
+        "print('scipy.special' in sys.modules)\n")
+    src = str(Path(dampedjc.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
