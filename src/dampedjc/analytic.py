@@ -210,8 +210,9 @@ def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
             exp(-log G {beta a+ + conj(beta) a - N}),
         beta = alpha e^{-((mu-nu)/2 + i w0) t}.
 
-    The formula degenerates at t=0 or nu=0 (log G -> -inf): both are
-    rejected; use the initial state itself or tau_series there.
+    The formula degenerates at t=0 or nu=0 (log G -> -inf), and at a tiny
+    t > 0 where G underflows to 0: all are rejected; use the initial state
+    itself or tau_series there.
     """
     if not (t > 0):
         raise DomainError(f"coherent_solution requires t > 0, got {t} "
@@ -223,6 +224,9 @@ def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
     coherent_state(alpha, p.dim)
 
     g = efg(t, p)
+    if not (g.G > 0):
+        raise DomainError(f"coherent_solution: G underflows to 0 at t={t} "
+                          "(log G diverges)")
     log_G = math.log(g.G)
     beta = alpha * np.exp(-((p.mu - p.nu) / 2 + 1j * p.omega0) * t)
     braces = (beta * creation(p.dim)

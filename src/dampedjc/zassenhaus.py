@@ -18,7 +18,11 @@ over Fock levels or series terms: the diagonal flow is one batched
 tau_series call on the four stacked blocks, in which each of the two series
 is one real GEMM with a triangular Toeplitz matrix along the diagonals of
 the blocks in a factorial-scaled basis, and U acts through its four nonzero
-diagonals (row scalings plus one-row shifts), O(d^2) work.
+diagonals (row scalings plus one-row shifts), O(d^2) work.  The Split3
+commutator factor acts through a truncated Taylor series of its two cached
+sparse pair generators: s = max(1, ceil(|c| ||G||_1)) substeps of a degree
+fixed in advance from the cached 1-norm, so that the remainder is at most
+2^-53, with no norm estimation or other set-up per call.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -32,13 +36,16 @@ factorially in pad, default 8).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+# expm_multiply is not called here any more; perfbench/tracing.py wraps this
+# module-level name, so it stays bound in this module.
+from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .analytic import coherent_solution, diagonal_block_propagator, tau_series, vacuum_solution
 from .errors import DomainError, NumericalError, ShapeError, StepError
@@ -196,12 +203,14 @@ def exp_Y(t: float, p: ModelParams) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _sparse_pair_generators(p: ModelParams, pad: int):
     """The two commutator-factor generators [[0,A],[B,0]] and [[0,C],[D,0]]
-    at cutoff dim+pad, sparse CSC.  Cached: every split3 step uses them."""
+    at cutoff dim+pad, sparse CSC, as ((G1, norm1), (G2, norm2), dp) with
+    the exact 1-norms.  Cached: every split3 step uses them."""
     dp = p.dim + pad
     A, B, C, D = _sparse_commutator_blocks(p.with_dim(dp))
     G1 = sp.bmat([[None, A], [B, None]], format="csc")
     G2 = sp.bmat([[None, C], [D, None]], format="csc")
-    return G1, G2, dp
+    return ((G1, float(abs(G1).sum(axis=0).max())),
+            (G2, float(abs(G2).sum(axis=0).max())), dp)
 
 
 def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
@@ -217,7 +226,7 @@ def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
     with theta = (t^2/2) Omega.  Returns (F1, F2, dp), each F a
     2 dp^2 x 2 dp^2 array.
     """
-    G1, G2, dp = _sparse_pair_generators(p, pad)
+    (G1, _), (G2, _), dp = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
     F1 = expm(-1j * theta * G1.toarray())
     F2 = expm(+1j * theta * G2.toarray())
@@ -247,24 +256,41 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
+def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
+    """e^{cG} V as s = max(1, ceil(x)) substeps, x = |c| ||G||_1, of the
+    degree-m Taylor polynomial; m is the least with a 1-norm remainder bound
+    (x/s)^{m+1}/(m+1)! e^{x/s} <= 2^-53, fixed before the loop."""
+    x = abs(c) * norm
+    s = max(1, math.ceil(x))
+    m = 0
+    while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
+        m += 1
+    V = V.copy()
+    for _ in range(s):
+        term = V
+        for k in range(1, m + 1):
+            term = G @ term
+            term *= c / (s * k)
+            V += term
+    return V
+
+
 def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
     """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to a stacked state given as four
-    padded component vectors, via Krylov-free expm action on the sparse
-    pair generators (F2 couples components (0,1) and (2,3); F1 couples
-    (0,2) and (1,3))."""
-    G1, G2, _ = _sparse_pair_generators(p, pad)
+    padded component vectors, via the fixed-degree Taylor action
+    (_taylor_action) of the cached sparse pair generators (F2 couples
+    components (0,1) and (2,3); F1 couples (0,2) and (1,3))."""
+    (G1, norm1), (G2, norm2), _ = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
-    if theta == 0.0:
-        return list(vec4)
     v0, v1, v2, v3 = vec4
-    W = expm_multiply(+1j * theta * G2,
-                      np.column_stack([np.concatenate([v0, v1]),
-                                       np.concatenate([v2, v3])]))
+    W = _taylor_action(G2, norm2, +1j * theta,
+                       np.column_stack([np.concatenate([v0, v1]),
+                                        np.concatenate([v2, v3])]))
     q = v0.size
     w0, w1, w2, w3 = W[:q, 0], W[q:, 0], W[:q, 1], W[q:, 1]
-    U = expm_multiply(-1j * theta * G1,
-                      np.column_stack([np.concatenate([w0, w2]),
-                                       np.concatenate([w1, w3])]))
+    U = _taylor_action(G1, norm1, -1j * theta,
+                       np.column_stack([np.concatenate([w0, w2]),
+                                        np.concatenate([w1, w3])]))
     return [U[:q, 0], U[:q, 1], U[q:, 0], U[q:, 1]]
 
 
@@ -284,8 +310,10 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     along the diagonals, in the factorial-scaled basis), times the scalar
     phases (0, -w0, +w0, 0); e^{tY} is the unitary conjugation
     rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U applied through
-    its diagonals; and the Split3 commutator factor acts through sparse
-    expm-vector products at the enlarged cutoff, compressed afterwards.
+    its diagonals; and the Split3 commutator factor acts at the enlarged
+    cutoff through a fixed-degree Taylor series of the sparse pair
+    generators (_taylor_action: a degree set a priori from the cached
+    1-norm, in ceil(|c| ||G||_1) substeps), compressed afterwards.
     The dense-matrix route (propagator_matrix) follows independent numerics
     and agrees to ~1e-13; tests cross-check the two.
     """

@@ -167,6 +167,9 @@ def test_coherent_solution_domain():
                                                 mu=0.4, nu=0.0, dim=12))
     with pytest.raises(TruncationError):
         coherent_solution(2.0, 1.0, P.with_dim(8))
+    # G underflows to 0 at a tiny t > 0: log G diverges as at t = 0
+    with pytest.raises(DomainError):
+        coherent_solution(0.1, 5e-324, P.with_dim(8))
 
 
 def test_first_moment_matches_classical_oscillator():

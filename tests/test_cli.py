@@ -369,9 +369,24 @@ def test_main_exit_codes(tmp_path):
     assert main(["--bogus"]) == 2
     assert main(["--dim", "x"]) == 2
     assert main(["--alpha", "nan", "--dim", "8", "--out", str(out)]) == 2
+    # closed form at a t > 0 so tiny that G underflows to 0
+    assert main(["--dim", "8", "--tmax", "5e-324", "--points", "2",
+                 "--method", "closed-form-example", "--alpha", "0.1",
+                 "--out", str(out)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_python_m_dampedjc_runs_the_cli_quietly():
+    src = str(Path(dampedjc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "dampedjc", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: dampedjc")
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("eig did not converge"),

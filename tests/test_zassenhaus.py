@@ -215,15 +215,41 @@ def test_exp_commutator_factors_commute_after_compression():
 # propagate
 
 
+@pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
 def test_propagate_matches_matrix_path():
     d = 13
     p = P.with_dim(d)
     rho0 = example_state(0.4 + 0.15j, d)
     for order in PropagatorOrder:
-        for t in (0.0, 0.45, 0.9):
+        for t in (0.0, 1e-9, 0.45, 0.9):
             got = propagate(rho0, t, p, order)
             want = propagator_matrix(t, p, order) @ vectorize_blocks(rho0)
             assert np.abs(vectorize_blocks(got) - want).max() < 1e-12
+    # single shot past the step bound: the commutator factor's Taylor action
+    # takes several substeps (s > 1)
+    for t in (2.0, 3.0):
+        got = propagate(rho0, t, p, PropagatorOrder.SPLIT3, step_bound=t * p.rate)
+        want = propagator_matrix(t, p, PropagatorOrder.SPLIT3) @ vectorize_blocks(rho0)
+        assert np.abs(vectorize_blocks(got) - want).max() < 1e-12
+
+
+def test_commutator_factor_at_theta_zero_returns_input():
+    from dampedjc.zassenhaus import _apply_comm_factors, _sparse_pair_generators, _taylor_action
+    d, pad = 6, 4
+    p = P.with_dim(d)
+    rng = np.random.default_rng(3)
+    vec4 = [rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
+            for _ in range(4)]
+    for got, want in zip(_apply_comm_factors(vec4, 0.0, p, pad), vec4):
+        assert np.array_equal(got, want)
+    (G1, norm1), _, _ = _sparse_pair_generators(p, pad)
+    V = np.column_stack([np.concatenate(vec4[:2]), np.concatenate(vec4[2:])])
+    assert np.array_equal(_taylor_action(G1, norm1, 0.0, V), V)
+    # Omega = 0 gives theta = 0 at t > 0: split3 is split2 exactly
+    p0 = ModelParams(omega0=1.0, Omega=0.0, mu=0.2, nu=0.1, dim=d)
+    rho0 = example_state(0.2, d)
+    assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3, pad=pad).full(),
+                          propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2, pad=pad).full())
 
 
 @pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
