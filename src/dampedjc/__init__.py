@@ -57,10 +57,8 @@ from .zassenhaus import (
     commutator_blocks,
     example_solution,
     exp_commutator,
-    exp_X,
     exp_Y,
     propagate,
-    propagator_matrix,
 )
 from .oracle import (
     DiagnosticsReport,

@@ -707,7 +707,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, MemoryError) as e:
+    except (np.linalg.LinAlgError, MemoryError, OverflowError) as e:
         print(f"error: {type(e).__name__}: {e}".rstrip(": "), file=sys.stderr)
         return 4
 

@@ -20,9 +20,11 @@ is one real GEMM with a triangular Toeplitz matrix along the diagonals of
 the blocks in a factorial-scaled basis, and U acts through its four nonzero
 diagonals (row scalings plus one-row shifts), O(d^2) work.  The Split3
 commutator factor acts through a truncated Taylor series of its two cached
-sparse pair generators: s = max(1, ceil(|c| ||G||_1)) substeps of a degree
-fixed in advance from the cached 1-norm, so that the remainder is at most
-2^-53, with no norm estimation or other set-up per call.
+sparse pair generators: s = max(1, ceil(|c| ||G||_1 / 8)) substeps of a
+degree (at most 50) fixed in advance from the cached 1-norm, so that the
+remainder is at most 2^-53, with no norm estimation or other set-up per
+call; the action stops with NumericalError at the first substep that
+overflows.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -47,7 +49,7 @@ from scipy.linalg import expm
 # module-level name, so it stays bound in this module.
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
-from .analytic import coherent_solution, diagonal_block_propagator, tau_series, vacuum_solution
+from .analytic import coherent_solution, tau_series, vacuum_solution
 from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, coherent_state, cos_sqrt, creation, sinc_sqrt
 from .params import ModelParams
@@ -132,18 +134,6 @@ def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the three exponential factors
-
-
-def exp_X(t: float, p: ModelParams) -> np.ndarray:
-    """Block-diagonal e^{tX}: the diagonal-block propagator with scalar
-    phases (0, -w0, +w0, 0) on the four stacked components."""
-    d = p.dim
-    q = d * d
-    out = np.zeros((4 * q, 4 * q), dtype=complex)
-    for k, phase in enumerate(block_phases(p)):
-        out[k * q:(k + 1) * q, k * q:(k + 1) * q] = \
-            diagonal_block_propagator(t, p, phase=phase)
-    return out
 
 
 def _coupling_diagonals(t: float, p: ModelParams):
@@ -256,22 +246,36 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
+# Norm units |c| ||G||_1 one Taylor substep may carry.  The degree needed
+# for a 2^-53 remainder grows more slowly than the step (18 at 1, 33 at 4,
+# 50 at 8), so fewer, longer substeps make fewer products; 8 keeps the
+# degree within the m <= 55 of Al-Mohy & Higham's expm_multiply.
+TAYLOR_SUBSTEP_NORM = 8.0
+
+
 def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
-    """e^{cG} V as s = max(1, ceil(x)) substeps, x = |c| ||G||_1, of the
-    degree-m Taylor polynomial; m is the least with a 1-norm remainder bound
-    (x/s)^{m+1}/(m+1)! e^{x/s} <= 2^-53, fixed before the loop."""
+    """e^{cG} V as s = max(1, ceil(x / TAYLOR_SUBSTEP_NORM)) substeps,
+    x = |c| ||G||_1, of the degree-m Taylor polynomial; m is the least with
+    a 1-norm remainder bound (x/s)^{m+1}/(m+1)! e^{x/s} <= 2^-53, fixed
+    before the loop.  Raises NumericalError when x is not finite or as soon
+    as a substep leaves a non-finite value."""
     x = abs(c) * norm
-    s = max(1, math.ceil(x))
+    if not math.isfinite(x):
+        raise NumericalError(f"commutator-factor exponent |c| ||G||_1 = {x} is not finite")
+    s = max(1, math.ceil(x / TAYLOR_SUBSTEP_NORM))
     m = 0
     while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
         m += 1
     V = V.copy()
-    for _ in range(s):
+    for step in range(s):
         term = V
         for k in range(1, m + 1):
             term = G @ term
             term *= c / (s * k)
             V += term
+        if not np.isfinite(V).all():
+            raise NumericalError(
+                f"commutator-factor action overflowed at substep {step + 1} of {s}")
     return V
 
 
@@ -313,9 +317,10 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     its diagonals; and the Split3 commutator factor acts at the enlarged
     cutoff through a fixed-degree Taylor series of the sparse pair
     generators (_taylor_action: a degree set a priori from the cached
-    1-norm, in ceil(|c| ||G||_1) substeps), compressed afterwards.
-    The dense-matrix route (propagator_matrix) follows independent numerics
-    and agrees to ~1e-13; tests cross-check the two.
+    1-norm, in ceil(|c| ||G||_1 / 8) substeps, raising NumericalError at
+    the first substep that overflows), compressed afterwards.  The tests
+    check it against the dense product of exp_Y, exp_commutator and the
+    diagonal-block propagator, independent numerics, to ~1e-13.
     """
     order = PropagatorOrder(order)
     if not (t >= 0):
@@ -345,26 +350,11 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         padded = np.zeros((4, dp, dp), dtype=complex)
         padded[:, :d, :d] = blocks
         parts = _apply_comm_factors(list(padded.reshape(4, dp * dp)), t, p, pad)
-        if not all(np.all(np.isfinite(w)) for w in parts):
-            raise NumericalError("commutator-factor action returned non-finite values")
         blocks = [np.asarray(w).reshape(dp, dp)[:d, :d] for w in parts]
 
     out = BlockDensity(*blocks)
     warn_on_guard_occupation(out)
     return out
-
-
-def propagator_matrix(t: float, p: ModelParams,
-                      order: PropagatorOrder = PropagatorOrder.SPLIT2,
-                      pad: int = DEFAULT_PAD) -> np.ndarray:
-    """Dense 4 dim^2 matrix of the selected propagator."""
-    order = PropagatorOrder(order)
-    if order is PropagatorOrder.DIAGONAL_ONLY:
-        return exp_X(t, p)
-    mat = exp_Y(t, p) @ exp_X(t, p)
-    if order is PropagatorOrder.SPLIT3:
-        mat = exp_commutator(t, p, pad) @ mat
-    return mat
 
 
 def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:

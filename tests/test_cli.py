@@ -346,7 +346,7 @@ def test_main_reads_config_file(tmp_path):
     assert read_csv(out)[2].shape[0] == 4
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # bad physics: mu <= nu
     assert main(["--mu", "0.1", "--nu", "0.5", "--out", str(out)]) == 2
@@ -373,6 +373,12 @@ def test_main_exit_codes(tmp_path):
     assert main(["--dim", "8", "--tmax", "5e-324", "--points", "2",
                  "--method", "closed-form-example", "--alpha", "0.1",
                  "--out", str(out)]) == 2
+    # t so large that the oracle's exponent overflows
+    capsys.readouterr()
+    assert main(["--dim", "16", "--tmax", "1e200", "--points", "2",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

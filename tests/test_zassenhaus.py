@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from dampedjc import (
     BlockDensity,
     DomainError,
     ModelParams,
+    NumericalError,
     PropagatorOrder,
     ShapeError,
     StepError,
@@ -24,18 +27,17 @@ from dampedjc import (
     commutator_blocks,
     converged_expm,
     creation,
+    diagonal_block_propagator,
     example_solution,
     exp_commutator,
-    exp_X,
     exp_Y,
     oracle_propagate,
     propagate,
-    propagator_matrix,
     restrict_superop,
     trace_distance,
     vectorize_blocks,
 )
-from dampedjc.superop import fock_keep_indices
+from dampedjc.superop import block_phases, fock_keep_indices
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -52,6 +54,33 @@ def stacked_interior(d, nblocks=4):
     keep = fock_keep_indices(d, d - 1)
     q = d * d
     return np.concatenate([b * q + keep for b in range(nblocks)])
+
+
+# dense composition of the split factors: the matrix route that propagate's
+# operator form is checked against
+
+
+def exp_X(t, p):
+    """Block-diagonal e^{tX}: the diagonal-block propagator with scalar
+    phases (0, -w0, +w0, 0) on the four stacked components."""
+    d = p.dim
+    q = d * d
+    out = np.zeros((4 * q, 4 * q), dtype=complex)
+    for k, phase in enumerate(block_phases(p)):
+        out[k * q:(k + 1) * q, k * q:(k + 1) * q] = \
+            diagonal_block_propagator(t, p, phase=phase)
+    return out
+
+
+def propagator_matrix(t, p, order=PropagatorOrder.SPLIT2, pad=8):
+    """Dense 4 dim^2 matrix of the selected propagator."""
+    order = PropagatorOrder(order)
+    if order is PropagatorOrder.DIAGONAL_ONLY:
+        return exp_X(t, p)
+    mat = exp_Y(t, p) @ exp_X(t, p)
+    if order is PropagatorOrder.SPLIT3:
+        mat = exp_commutator(t, p, pad) @ mat
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +279,54 @@ def test_commutator_factor_at_theta_zero_returns_input():
     rho0 = example_state(0.2, d)
     assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3, pad=pad).full(),
                           propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2, pad=pad).full())
+
+
+def test_taylor_action_vs_dense_expm():
+    # substeps of up to 8 norm units: across the s = 1 -> 2 switch at x = 8
+    # and at several substeps, the action matches the dense exponential
+    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action
+    (G, norm), _, _ = _sparse_pair_generators(P.with_dim(13), 8)
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((G.shape[0], 2)) + 1j * rng.standard_normal((G.shape[0], 2))
+    for k, x in enumerate((0.5, 4.0, 7.9, 8.1, 16.0, 40.0)):
+        c = (-1) ** k * 1j * x / norm
+        exact = expm(c * G.toarray()) @ V
+        err = np.abs(_taylor_action(G, norm, c, V) - exact).max()
+        assert err <= 1e-13 * np.abs(exact).max(), (x, err)
+
+
+def test_taylor_action_product_count():
+    # at x = 7 one substep of degree 46 replaces 7 substeps of degree 18
+    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action
+
+    class Counted:
+        def __init__(self, G):
+            self.G, self.products = G, 0
+
+        def __matmul__(self, other):
+            self.products += 1
+            return self.G @ other
+
+    (G, norm), _, _ = _sparse_pair_generators(P.with_dim(13), 8)
+    counted = Counted(G)
+    V = np.ones((G.shape[0], 2), dtype=complex)
+    _taylor_action(counted, norm, 7j / norm, V)
+    assert counted.products == 46
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_split3_overflow_stops_early():
+    # far past the step bound the factor overflows; the action stops at the
+    # first non-finite substep (about 0.2 s at t = 100, where running every
+    # substep took 18 s) and an infinite exponent raises before any work
+    d = 16
+    p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=d)
+    rho0 = example_state(1.0, d)
+    start = time.process_time()
+    for t in (100.0, 1e3, 1e200):
+        with pytest.raises(NumericalError):
+            propagate(rho0, t, p, PropagatorOrder.SPLIT3, step_bound=math.inf)
+    assert time.process_time() - start < 5.0
 
 
 @pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
