@@ -78,36 +78,48 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def func_of_number(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(f(n + shift)) for n = 0..dim-1; shift in {0, 1} selects N or N+1.
+def number_values(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
+    """f(n + shift) for n = 0..dim-1; shift in {0, 1} selects N or N+1.
 
-    Used for cos(x sqrt(N+1)), sin(x sqrt(N))/sqrt(N) and friends.  f is
-    called once, on the integer array n + shift, and must work elementwise
-    (numpy ufuncs); a scalar result is broadcast to every level.  Since f
-    sees integers only, operator identities such as a f(N) = f(N+1) a hold
-    exactly on the retained levels.
-    """
+    f is called once, on the integer array n + shift, and must work
+    elementwise (numpy ufuncs); a scalar result is broadcast to every level.
+    Since f sees integers only, operator identities such as
+    a f(N) = f(N+1) a hold exactly on the retained levels."""
     dim = _check_dim(dim)
     if shift not in (0, 1):
         raise DomainError(f"shift must be 0 or 1, got {shift!r}")
     values = np.asarray(f(np.arange(shift, dim + shift)), dtype=complex)
-    values = np.broadcast_to(values, (dim,))
     if not np.all(np.isfinite(values)):
-        raise DomainError("func_of_number: f returned non-finite values")
-    return np.diag(values)
+        raise DomainError("number_values: f returned non-finite values")
+    return np.broadcast_to(values, (dim,))
 
 
-def cos_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(cos(x sqrt(n + shift)))."""
-    return func_of_number(lambda n: np.cos(x * np.sqrt(n)), dim, shift)
+def func_of_number(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
+    """diag(number_values(f, dim, shift)), e.g. cos(x sqrt(N+1))."""
+    return np.diag(number_values(f, dim, shift))
 
 
-def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(sin(x sqrt(n + shift)) / sqrt(n + shift)), with the n+shift = 0
-    entry set to its analytic limit x (sin(x s)/s -> x as s -> 0)."""
+def cos_sqrt_values(x: float, dim: int, shift: int = 0) -> np.ndarray:
+    """cos(x sqrt(n + shift)) for n = 0..dim-1."""
+    return number_values(lambda n: np.cos(x * np.sqrt(n)), dim, shift)
+
+
+def sinc_sqrt_values(x: float, dim: int, shift: int = 0) -> np.ndarray:
+    """sin(x sqrt(n + shift)) / sqrt(n + shift) for n = 0..dim-1, with the
+    n+shift = 0 entry set to its analytic limit x (sin(x s)/s -> x as s -> 0)."""
 
     def f(n):
         r = np.sqrt(np.maximum(n, 1))
         return np.where(n == 0, x, np.sin(x * r) / r)
 
-    return func_of_number(f, dim, shift)
+    return number_values(f, dim, shift)
+
+
+def cos_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
+    """diag(cos_sqrt_values(x, dim, shift))."""
+    return np.diag(cos_sqrt_values(x, dim, shift))
+
+
+def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
+    """diag(sinc_sqrt_values(x, dim, shift))."""
+    return np.diag(sinc_sqrt_values(x, dim, shift))

@@ -166,6 +166,16 @@ def _vet(rho: BlockDensity, trace0: complex) -> None:
             f"(tolerance {ORACLE_TOL:.1e})")
 
 
+def _expm_action(t: float, G, v: np.ndarray, **grid) -> np.ndarray:
+    """expm_multiply(G, v, **grid); scipy's OverflowError or ValueError when t
+    ||G|| overflows its step count becomes NumericalError naming t."""
+    try:
+        return expm_multiply(G, v, **grid)
+    except (OverflowError, ValueError) as e:
+        raise NumericalError(
+            f"oracle expm_multiply cannot step to t = {t:g}: {e}") from None
+
+
 def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
                      cfg: OracleConfig | None = None) -> BlockDensity:
     """Evolve rho0 for time t by brute force.
@@ -178,14 +188,14 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     """
     if cfg is None:
         cfg = OracleConfig()
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not (t >= 0 and np.isfinite(t)):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     if rho0.dim != p.dim:
         raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
 
     if cfg.method is OracleMethod.DENSE_EXPM:
         out = devectorize_blocks(
-            expm_multiply(t * sparse_generator(p), vectorize_blocks(rho0)), p.dim)
+            _expm_action(t, t * sparse_generator(p), vectorize_blocks(rho0)), p.dim)
     elif cfg.method is OracleMethod.RK4:
         out = _rk4_evolve(rho0, t, p, cfg.dt)
     else:  # pragma: no cover - enum is closed
@@ -200,9 +210,11 @@ def oracle_trajectory(rho0: BlockDensity, ts: np.ndarray, p: ModelParams) -> lis
     """Exact states on the uniform grid ts, rho0 at ts[0]: one expm_multiply
     sweep of the sparse generator.  Each state is vetted and guarded like
     an oracle_propagate result."""
-    vecs = expm_multiply(sparse_generator(p), vectorize_blocks(rho0),
-                         start=float(ts[0]), stop=float(ts[-1]), num=len(ts),
-                         endpoint=True)
+    start, stop = float(ts[0]), float(ts[-1])
+    if not np.isfinite([start, stop]).all():
+        raise DomainError(f"oracle grid ends must be finite, got {start} and {stop}")
+    vecs = _expm_action(stop, sparse_generator(p), vectorize_blocks(rho0),
+                        start=start, stop=stop, num=len(ts), endpoint=True)
     states = [rho0] + [devectorize_blocks(v, p.dim) for v in vecs[1:]]
     for rho in states:
         _vet(rho, rho0.trace())

@@ -174,10 +174,10 @@ def devectorize_blocks(v: np.ndarray, dim: int) -> BlockDensity:
 # ---------------------------------------------------------------------------
 # generators
 #
-# Each generator is assembled once, in sparse CSR form, from d x d ladder
-# operators; the public dense builders are .toarray() of these assemblies.
-# No dense dim^2 x dim^2 intermediate is formed, so sparse_generator scales
-# to cutoffs whose dense generator would not fit in memory.
+# Two writings of the generator that agree exactly.  The dense builders are
+# .toarray() of the paper's Kronecker assembly from d x d ladder operators;
+# sparse_generator, the oracle's operator, writes X + Y as its seven bands.
+# Neither forms a dense dim^2 x dim^2 intermediate.
 
 
 def _sparse_ladders(dim: int):
@@ -230,11 +230,25 @@ def _sparse_Y(p: ModelParams) -> sp.csr_matrix:
 def sparse_generator(p: ModelParams) -> sp.csr_matrix:
     """Full generator X + Y of the vectorized master equation, sparse CSR.
 
-    About five nonzeros per row.  It conserves the excitation difference
-    k = m - n - i + j of a stacked element (atom block ij, Fock pair m, n),
-    so each row couples only states of one k-sector.
+    Seven bands, with q = dim^2 and in-block index m dim + n: X's diagonal
+    (mu-nu)/2 - (mu+nu) K3 - i w0 K0 + i phase; mu K- and nu K+ at +-(dim+1);
+    Y's rho a+ and rho a at +-(q+1), a rho and a+ rho at +-(2q+dim).  Each
+    entry takes the Kronecker assembly's floating-point operations, so
+    .toarray() equals build_X(p) + build_Y(p) exactly.  It conserves k =
+    m - n - i + j (atom block ij, Fock pair m, n): rows couple one k-sector.
     """
-    return (_sparse_X(p) + _sparse_Y(p)).tocsr()
+    d, q = p.dim, p.dim ** 2
+    r = np.sqrt(np.arange(d))            # r[m] = a[m-1, m] = a+[m, m-1]
+    m, n = np.divmod(np.arange(q), d)
+    lind = (p.mu - p.nu) / 2 - (p.mu + p.nu) * (0.5 * ((m + n) + 1))
+    diag = np.tile(lind - 1j * p.omega0 * (m - n), 4) + 1j * np.repeat(block_phases(p), q)
+    # band values are read at the raised index, whose sqrt(m) or sqrt(n) is 0 off-block
+    ladder = np.tile(np.outer(r, r).ravel(), 4)[d + 1:]
+    right = -1j * p.Omega * (np.tile(-r[n], 4) * np.repeat([0, 1, 0, 1], q))[q + 1:]
+    left = -1j * p.Omega * np.tile(r[m], 4)[2 * q + d:]
+    return sp.diags([diag, p.mu * ladder, p.nu * ladder, right, right, left, left],
+                    [0, d + 1, -(d + 1), q + 1, -(q + 1), 2 * q + d, -(2 * q + d)],
+                    format="csr")
 
 
 def k_generators(dim: int):
@@ -284,7 +298,7 @@ def build_Y(p: ModelParams) -> np.ndarray:
 
 def build_generator(p: ModelParams) -> np.ndarray:
     """Full generator X + Y of the vectorized master equation, dense."""
-    return sparse_generator(p).toarray()
+    return (_sparse_X(p) + _sparse_Y(p)).toarray()
 
 
 # ---------------------------------------------------------------------------

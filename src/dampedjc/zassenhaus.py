@@ -51,7 +51,8 @@ from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .analytic import coherent_solution, tau_series, vacuum_solution
 from .errors import DomainError, NumericalError, ShapeError, StepError
-from .fock import annihilation, coherent_state, cos_sqrt, creation, sinc_sqrt
+from .fock import (annihilation, coherent_state, cos_sqrt, cos_sqrt_values, creation,
+                   sinc_sqrt, sinc_sqrt_values)
 from .params import ModelParams
 from .superop import (
     BLOCK_KEYS,
@@ -151,10 +152,10 @@ def _coupling_diagonals(t: float, p: ModelParams):
     d = p.dim
     c = p.Omega * t
     root = np.sqrt(np.arange(1.0, d))   # a[i, i+1] = a+[i+1, i] = root[i]
-    return (np.diagonal(cos_sqrt(c, d, shift=1)),
-            np.diagonal(cos_sqrt(c, d, shift=0)),
-            -1j * np.diagonal(sinc_sqrt(c, d, shift=1))[:-1] * root,
-            -1j * np.diagonal(sinc_sqrt(c, d, shift=0))[1:] * root)
+    return (cos_sqrt_values(c, d, shift=1),
+            cos_sqrt_values(c, d, shift=0),
+            -1j * sinc_sqrt_values(c, d, shift=1)[:-1] * root,
+            -1j * sinc_sqrt_values(c, d, shift=0)[1:] * root)
 
 
 def _coupling_blocks(t: float, p: ModelParams):
@@ -258,7 +259,7 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
     x = |c| ||G||_1, of the degree-m Taylor polynomial; m is the least with
     a 1-norm remainder bound (x/s)^{m+1}/(m+1)! e^{x/s} <= 2^-53, fixed
     before the loop.  Raises NumericalError when x is not finite or as soon
-    as a substep leaves a non-finite value."""
+    as a substep leaves a non-finite value (without numpy's warnings)."""
     x = abs(c) * norm
     if not math.isfinite(x):
         raise NumericalError(f"commutator-factor exponent |c| ||G||_1 = {x} is not finite")
@@ -267,15 +268,16 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
     while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
         m += 1
     V = V.copy()
-    for step in range(s):
-        term = V
-        for k in range(1, m + 1):
-            term = G @ term
-            term *= c / (s * k)
-            V += term
-        if not np.isfinite(V).all():
-            raise NumericalError(
-                f"commutator-factor action overflowed at substep {step + 1} of {s}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(s):
+            term = V
+            for k in range(1, m + 1):
+                term = G @ term
+                term *= c / (s * k)
+                V += term
+            if not np.isfinite(V).all():
+                raise NumericalError(
+                    f"commutator-factor action overflowed at substep {step + 1} of {s}")
     return V
 
 

@@ -379,6 +379,12 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "oracle" in err and "1e+200" in err
+    # at dim 2 scipy's step count reads NaN (ValueError) rather than inf
+    assert main(["--dim", "2", "--alpha", "0", "--tmax", "1e100", "--points", "2",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "oracle" in err
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

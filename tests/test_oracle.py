@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dampedjc import (
     BlockDensity,
     DomainError,
     ModelParams,
+    NumericalError,
     OracleConfig,
     OracleMethod,
     ShapeError,
@@ -20,6 +23,7 @@ from dampedjc import (
     vacuum_solution,
     vectorize_blocks,
 )
+from dampedjc.oracle import oracle_trajectory
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -121,6 +125,25 @@ def test_oracle_validation_and_failure():
     with pytest.raises(StepError):
         oracle_propagate(example_state(0.5, P.dim), 2.0, stiff,
                          OracleConfig(method=OracleMethod.RK4, dt=0.2))
+
+
+def test_oracle_rejects_non_finite_and_overflowing_times():
+    # a non-finite t or grid end is a domain error; a finite t at which
+    # scipy's step count overflows (OverflowError at dim 16, ValueError at
+    # dim 2 inside scipy) is a numerical failure that names the oracle and t
+    rho0 = example_state(0.5, 16)
+    for t in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            oracle_propagate(rho0, t, P.with_dim(16))
+        with pytest.raises(DomainError):
+            oracle_trajectory(rho0, np.array([0.0, t]), P.with_dim(16))
+    for d, t in ((16, 1e200), (2, 1e100)):
+        rho0 = example_state(0.0, d)
+        named = "oracle .* t = " + re.escape(f"{t:g}")
+        with pytest.raises(NumericalError, match=named):
+            oracle_propagate(rho0, t, P.with_dim(d))
+        with pytest.raises(NumericalError, match=named):
+            oracle_trajectory(rho0, np.array([0.0, t]), P.with_dim(d))
 
 
 def test_diagnostics_flags_bad_states():

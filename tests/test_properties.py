@@ -2,7 +2,8 @@
 
 The Toeplitz-form diagonal flow (tau_series) and the diagonal-band coupling
 sandwich in propagate are compared with their dense matrix forms, to 1e-12
-relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2.  Over the
+relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2; the banded
+sparse generator must equal the Kronecker assembly exactly.  Over the
 same draws, the diagonal flow and split2 keep random states positive at any
 t; split2 of the vacuum/coherent example state against its closed form, for
 any coherent amplitude the cutoff holds, is a known failure (xfail).
@@ -21,6 +22,8 @@ from dampedjc import (
     BlockDensity,
     ModelParams,
     PropagatorOrder,
+    build_X,
+    build_Y,
     coherent_state,
     coherent_tail_weight,
     devectorize,
@@ -31,6 +34,7 @@ from dampedjc import (
     vectorize,
 )
 from dampedjc.fock import TAIL_TOL
+from dampedjc.superop import sparse_generator
 from dampedjc.zassenhaus import _coupling_blocks
 
 RTOL = 1e-12
@@ -79,6 +83,13 @@ def test_split2_is_coupling_conjugation_of_diagonal_flow(p, t, seed):
         got = propagate(rho0, t, p, PropagatorOrder.SPLIT2, step_bound=bound)
     U = np.block(_coupling_blocks(t, p))
     assert_close(got.full(), U @ tau.full() @ U.conj().T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(p=models())
+def test_sparse_generator_equals_kronecker_assembly(p):
+    # the seven-band writing repeats the Kronecker assembly's arithmetic
+    assert np.array_equal(sparse_generator(p).toarray(), build_X(p) + build_Y(p))
 
 
 def random_state(seed, d):

@@ -314,11 +314,12 @@ def test_taylor_action_product_count():
     assert counted.products == 46
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_split3_overflow_stops_early():
     # far past the step bound the factor overflows; the action stops at the
     # first non-finite substep (about 0.2 s at t = 100, where running every
-    # substep took 18 s) and an infinite exponent raises before any work
+    # substep took 18 s), with no numpy overflow warning, and an infinite
+    # exponent raises before any work
     d = 16
     p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=d)
     rho0 = example_state(1.0, d)
