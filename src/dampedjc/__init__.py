@@ -65,7 +65,6 @@ from .oracle import (
     OracleConfig,
     OracleMethod,
     converged_diagonal_expm,
-    converged_expm,
     diagnostics,
     master_rhs,
     oracle_propagate,

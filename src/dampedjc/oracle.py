@@ -2,25 +2,24 @@
 
 Two deliberately independent routes to the same flow:
 
-* DENSE_EXPM -- the action of exp(t (X + Y)) on the vectorized state,
-  computed from the sparse generator with scipy's expm_multiply (Al-Mohy &
-  Higham, SIAM J. Sci. Comput. 33, 488 (2011)); no propagator matrix is
-  formed.  The name predates the sparse route and is kept so that configs
-  and output columns do not change;
+* DENSE_EXPM -- the action of exp(t (X + Y)) on the vectorized state: the
+  Taylor action that the split3 commutator factor also uses
+  (superop._taylor_action), of the sparse generator with its exact 1-norm;
+  no propagator matrix is formed.  The name predates the sparse route and
+  is kept so that configs and output columns do not change;
 * RK4 -- classic fixed-step Runge-Kutta on the componentwise right-hand
   side written directly in d x d block algebra (never touching the
   superoperator code path).
 
-`oracle_trajectory` sweeps the DENSE_EXPM route over a uniform time grid;
-the CLI measures every method against it.
+`oracle_trajectory` runs the DENSE_EXPM route over a non-decreasing time
+grid, one action per interval; the CLI measures every method against it.
 
 Agreement between the two, and between them and the factored propagators,
-is the backbone of the test suite.  The module also provides dense
-enlarged-cutoff exponentials for the tests (`converged_expm`,
-`converged_diagonal_expm`): expm of the generator truncated at dim differs
-from the restriction of the untruncated flow by O(1) matrix elements near
-the cutoff, so closed forms must be checked against the generator built at
-dim+pad and compressed back.
+is the backbone of the test suite.  The module also provides a dense
+enlarged-cutoff exponential for the tests (`converged_diagonal_expm`): expm
+of a generator truncated at dim differs from the restriction of the
+untruncated flow by O(1) matrix elements near the cutoff, so closed forms
+must be checked against the generator built at dim+pad and compressed back.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, creation, number
@@ -38,7 +36,8 @@ from .params import ModelParams
 from .superop import (
     BLOCK_KEYS,
     BlockDensity,
-    build_generator,
+    _taylor_action,
+    build_generator,  # noqa: F401 -- perfbench/tracing.py wraps this binding
     devectorize_blocks,
     guard_occupation,
     k_generators,
@@ -166,14 +165,21 @@ def _vet(rho: BlockDensity, trace0: complex) -> None:
             f"(tolerance {ORACLE_TOL:.1e})")
 
 
-def _expm_action(t: float, G, v: np.ndarray, **grid) -> np.ndarray:
-    """expm_multiply(G, v, **grid); scipy's OverflowError or ValueError when t
-    ||G|| overflows its step count becomes NumericalError naming t."""
-    try:
-        return expm_multiply(G, v, **grid)
-    except (OverflowError, ValueError) as e:
-        raise NumericalError(
-            f"oracle expm_multiply cannot step to t = {t:g}: {e}") from None
+def _sweep(rho0: BlockDensity, ts, p: ModelParams):
+    """Yield the vectorized states at ts[1:], rho0 at ts[0]: one action of
+    sparse_generator(p), with its exact 1-norm, per grid interval.  An
+    action's NumericalError names the oracle and the time it steps to."""
+    if rho0.dim != p.dim:
+        raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
+    G = sparse_generator(p)
+    norm = float(abs(G).sum(axis=0).max())
+    v = vectorize_blocks(rho0)
+    for h, t in zip(np.diff(ts), ts[1:]):
+        try:
+            v = _taylor_action(G, norm, float(h), v)
+        except NumericalError as e:
+            raise NumericalError(f"oracle cannot step to t = {t:g}: {e}") from None
+        yield v
 
 
 def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -190,12 +196,9 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
         cfg = OracleConfig()
     if not (t >= 0 and np.isfinite(t)):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    if rho0.dim != p.dim:
-        raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
 
     if cfg.method is OracleMethod.DENSE_EXPM:
-        out = devectorize_blocks(
-            _expm_action(t, t * sparse_generator(p), vectorize_blocks(rho0)), p.dim)
+        out = devectorize_blocks(next(_sweep(rho0, [0.0, t], p)), p.dim)
     elif cfg.method is OracleMethod.RK4:
         out = _rk4_evolve(rho0, t, p, cfg.dt)
     else:  # pragma: no cover - enum is closed
@@ -206,36 +209,23 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     return out
 
 
-def oracle_trajectory(rho0: BlockDensity, ts: np.ndarray, p: ModelParams) -> list:
-    """Exact states on the uniform grid ts, rho0 at ts[0]: one expm_multiply
-    sweep of the sparse generator.  Each state is vetted and guarded like
-    an oracle_propagate result."""
-    start, stop = float(ts[0]), float(ts[-1])
-    if not np.isfinite([start, stop]).all():
-        raise DomainError(f"oracle grid ends must be finite, got {start} and {stop}")
-    vecs = _expm_action(stop, sparse_generator(p), vectorize_blocks(rho0),
-                        start=start, stop=stop, num=len(ts), endpoint=True)
-    states = [rho0] + [devectorize_blocks(v, p.dim) for v in vecs[1:]]
-    for rho in states:
-        _vet(rho, rho0.trace())
-        warn_on_guard_occupation(rho)
+def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams) -> list:
+    """Exact states on any non-decreasing grid ts, rho0 at ts[0], from one
+    generator build.  rho0 is returned as given; each later state is vetted
+    and guarded like an oracle_propagate result."""
+    ts = np.asarray(ts, dtype=float)
+    if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
+        raise DomainError(f"oracle grid times must be finite and non-decreasing, got {ts}")
+    states = [rho0]
+    for v in _sweep(rho0, ts, p):
+        states.append(devectorize_blocks(v, p.dim))
+        _vet(states[-1], rho0.trace())
+        warn_on_guard_occupation(states[-1])
     return states
 
 
 # ---------------------------------------------------------------------------
-# enlarged-cutoff references
-
-
-def converged_expm(t: float, p: ModelParams, pad: int = 8) -> np.ndarray:
-    """expm(t (X+Y)) built at cutoff dim+pad, compressed back to dim.
-
-    This is the restriction of the untruncated flow up to a tail that
-    shrinks factorially with pad; it is the right object to compare the
-    factored propagators against (plain expm at dim is not -- its edge
-    columns feel the missing levels at O(1))."""
-    dp = p.dim + pad
-    U = expm(t * build_generator(p.with_dim(dp)))
-    return restrict_superop(U, dp, p.dim, nblocks=4)
+# enlarged-cutoff reference
 
 
 def converged_diagonal_expm(t: float, p: ModelParams, phase: float = 0.0,

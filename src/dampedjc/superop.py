@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ShapeError, TruncationWarning
+from .errors import NumericalError, ShapeError, TruncationWarning
 from .fock import annihilation, creation, number
 from .params import ModelParams
 
@@ -299,6 +299,49 @@ def build_Y(p: ModelParams) -> np.ndarray:
 def build_generator(p: ModelParams) -> np.ndarray:
     """Full generator X + Y of the vectorized master equation, dense."""
     return (_sparse_X(p) + _sparse_Y(p)).toarray()
+
+
+# ---------------------------------------------------------------------------
+# the Taylor action of a sparse exponential, for the oracle and for split3
+
+
+# Norm units |c| ||G||_1 one Taylor substep may carry.  The degree needed
+# for a 2^-53 remainder grows more slowly than the step (18 at 1, 33 at 4,
+# 50 at 8), so fewer, longer substeps make fewer products; 8 keeps the
+# degree within the m <= 55 of Al-Mohy & Higham's expm_multiply (SIAM J.
+# Sci. Comput. 33, 488 (2011)).
+TAYLOR_SUBSTEP_NORM = 8.0
+TAYLOR_MAX_SUBSTEPS = 100_000   # a longer schedule is refused before any product
+
+
+def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
+    """e^{cG} V as s = max(1, ceil(x / TAYLOR_SUBSTEP_NORM)) substeps,
+    x = |c| ||G||_1, of the degree-m Taylor polynomial in Horner form; m is
+    the least with a 1-norm remainder bound (x/s)^{m+1}/(m+1)! e^{x/s} <=
+    2^-53, fixed before the loop.  NumericalError (callers prefix their
+    name) when x is not finite, when s > TAYLOR_MAX_SUBSTEPS, or as soon as
+    a substep leaves a non-finite value, without numpy's warnings."""
+    x = abs(c) * norm
+    if not math.isfinite(x):
+        raise NumericalError(f"exponent |c| ||G||_1 = {x} is not finite")
+    s = max(1, math.ceil(x / TAYLOR_SUBSTEP_NORM))
+    if s > TAYLOR_MAX_SUBSTEPS:
+        raise NumericalError(f"action needs {s} substeps, more than the "
+                             f"{TAYLOR_MAX_SUBSTEPS} allowed")
+    m = 0
+    while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
+        m += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(s):
+            W = V
+            for k in range(m, 0, -1):   # V + cG/(s k) (V + ...)
+                W = G @ W
+                W *= c / (s * k)
+                W += V
+            V = W
+            if not np.isfinite(V).all():
+                raise NumericalError(f"action overflowed at substep {step + 1} of {s}")
+    return V
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,9 @@ tau_series call on the four stacked blocks, in which each of the two series
 is one real GEMM with a triangular Toeplitz matrix along the diagonals of
 the blocks in a factorial-scaled basis, and U acts through its four nonzero
 diagonals (row scalings plus one-row shifts), O(d^2) work.  The Split3
-commutator factor acts through a truncated Taylor series of its two cached
-sparse pair generators: s = max(1, ceil(|c| ||G||_1 / 8)) substeps of a
-degree (at most 50) fixed in advance from the cached 1-norm, so that the
-remainder is at most 2^-53, with no norm estimation or other set-up per
-call; the action stops with NumericalError at the first substep that
-overflows.
+commutator factor is the Taylor action superop._taylor_action, shared with
+the oracle, of its two cached sparse pair generators and their 1-norms: no
+norm estimation or other set-up per call.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -38,7 +35,6 @@ factorially in pad, default 8).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +54,7 @@ from .superop import (
     BLOCK_KEYS,
     BlockDensity,
     _sparse_sides,
+    _taylor_action,
     block_phases,
     restrict_superop,
     warn_on_guard_occupation,
@@ -247,40 +244,6 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
-# Norm units |c| ||G||_1 one Taylor substep may carry.  The degree needed
-# for a 2^-53 remainder grows more slowly than the step (18 at 1, 33 at 4,
-# 50 at 8), so fewer, longer substeps make fewer products; 8 keeps the
-# degree within the m <= 55 of Al-Mohy & Higham's expm_multiply.
-TAYLOR_SUBSTEP_NORM = 8.0
-
-
-def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
-    """e^{cG} V as s = max(1, ceil(x / TAYLOR_SUBSTEP_NORM)) substeps,
-    x = |c| ||G||_1, of the degree-m Taylor polynomial; m is the least with
-    a 1-norm remainder bound (x/s)^{m+1}/(m+1)! e^{x/s} <= 2^-53, fixed
-    before the loop.  Raises NumericalError when x is not finite or as soon
-    as a substep leaves a non-finite value (without numpy's warnings)."""
-    x = abs(c) * norm
-    if not math.isfinite(x):
-        raise NumericalError(f"commutator-factor exponent |c| ||G||_1 = {x} is not finite")
-    s = max(1, math.ceil(x / TAYLOR_SUBSTEP_NORM))
-    m = 0
-    while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
-        m += 1
-    V = V.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(s):
-            term = V
-            for k in range(1, m + 1):
-                term = G @ term
-                term *= c / (s * k)
-                V += term
-            if not np.isfinite(V).all():
-                raise NumericalError(
-                    f"commutator-factor action overflowed at substep {step + 1} of {s}")
-    return V
-
-
 def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
     """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to a stacked state given as four
     padded component vectors, via the fixed-degree Taylor action
@@ -289,14 +252,17 @@ def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
     (G1, norm1), (G2, norm2), _ = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
     v0, v1, v2, v3 = vec4
-    W = _taylor_action(G2, norm2, +1j * theta,
-                       np.column_stack([np.concatenate([v0, v1]),
-                                        np.concatenate([v2, v3])]))
     q = v0.size
-    w0, w1, w2, w3 = W[:q, 0], W[q:, 0], W[:q, 1], W[q:, 1]
-    U = _taylor_action(G1, norm1, -1j * theta,
-                       np.column_stack([np.concatenate([w0, w2]),
-                                        np.concatenate([w1, w3])]))
+    try:
+        W = _taylor_action(G2, norm2, +1j * theta,
+                           np.column_stack([np.concatenate([v0, v1]),
+                                            np.concatenate([v2, v3])]))
+        w0, w1, w2, w3 = W[:q, 0], W[q:, 0], W[:q, 1], W[q:, 1]
+        U = _taylor_action(G1, norm1, -1j * theta,
+                           np.column_stack([np.concatenate([w0, w2]),
+                                            np.concatenate([w1, w3])]))
+    except NumericalError as e:
+        raise NumericalError(f"commutator-factor {e}") from None
     return [U[:q, 0], U[:q, 1], U[q:, 0], U[q:, 1]]
 
 
@@ -317,10 +283,8 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     phases (0, -w0, +w0, 0); e^{tY} is the unitary conjugation
     rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U applied through
     its diagonals; and the Split3 commutator factor acts at the enlarged
-    cutoff through a fixed-degree Taylor series of the sparse pair
-    generators (_taylor_action: a degree set a priori from the cached
-    1-norm, in ceil(|c| ||G||_1 / 8) substeps, raising NumericalError at
-    the first substep that overflows), compressed afterwards.  The tests
+    cutoff through the Taylor action of the sparse pair generators
+    (_apply_comm_factors), compressed afterwards.  The tests
     check it against the dense product of exp_Y, exp_commutator and the
     diagonal-block propagator, independent numerics, to ~1e-13.
     """

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -319,6 +320,18 @@ def test_main_deterministic_output(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_main_refuses_oracle_time_over_substep_budget(tmp_path, capsys):
+    # a mistyped --tmax used to run the oracle for hours; now its Taylor
+    # action refuses the schedule up front: exit 4 and one `error:` line
+    start = time.perf_counter()
+    assert main(["--dim", "2", "--alpha", "0", "--tmax", "1e7", "--points", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "oracle" in err and "1e+07" in err and "substeps" in err
+
+
 def test_main_json_format(tmp_path):
     out = tmp_path / "out.json"
     code = main(["--dim", "8", "--alpha", "0.4", "--points", "3", "--tmax", "0.5",
@@ -373,14 +386,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--dim", "8", "--tmax", "5e-324", "--points", "2",
                  "--method", "closed-form-example", "--alpha", "0.1",
                  "--out", str(out)]) == 2
-    # t so large that the oracle's exponent overflows
+    # t so large that the oracle's action would need too many substeps
     capsys.readouterr()
     assert main(["--dim", "16", "--tmax", "1e200", "--points", "2",
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "oracle" in err and "1e+200" in err
-    # at dim 2 scipy's step count reads NaN (ValueError) rather than inf
+    # the same at dim 2, the smallest generator
     assert main(["--dim", "2", "--alpha", "0", "--tmax", "1e100", "--points", "2",
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err

@@ -1,7 +1,11 @@
+import math
 import re
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from dampedjc import (
     BlockDensity,
@@ -14,7 +18,6 @@ from dampedjc import (
     StepError,
     build_generator,
     coherent_state,
-    converged_expm,
     diagnostics,
     master_rhs,
     oracle_propagate,
@@ -24,8 +27,19 @@ from dampedjc import (
     vectorize_blocks,
 )
 from dampedjc.oracle import oracle_trajectory
+from dampedjc.superop import (TAYLOR_MAX_SUBSTEPS, TAYLOR_SUBSTEP_NORM, _taylor_action,
+                              sparse_generator)
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
+
+
+def converged_expm(t, p, pad=8):
+    """expm(t (X+Y)) built at cutoff dim+pad, compressed back to dim: the
+    restriction of the untruncated flow up to a tail that shrinks
+    factorially with pad (plain expm at dim is not -- its edge columns feel
+    the missing levels at O(1))."""
+    dp = p.dim + pad
+    return restrict_superop(expm(t * build_generator(p.with_dim(dp))), dp, p.dim, nblocks=4)
 
 
 def example_state(alpha, d):
@@ -118,6 +132,8 @@ def test_oracle_validation_and_failure():
         oracle_propagate(rho0, -1.0, P)
     with pytest.raises(ShapeError):
         oracle_propagate(example_state(0.2, 6), 0.5, P)
+    with pytest.raises(ShapeError):
+        oracle_trajectory(example_state(0.2, 6), [0.0, 0.5], P)
     with pytest.raises(DomainError):
         OracleConfig(dt=0.0)
     # coarse RK4 on a fast-phase problem goes unstable -> consistency checks trip
@@ -127,23 +143,98 @@ def test_oracle_validation_and_failure():
                          OracleConfig(method=OracleMethod.RK4, dt=0.2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_rejects_non_finite_and_overflowing_times():
-    # a non-finite t or grid end is a domain error; a finite t at which
-    # scipy's step count overflows (OverflowError at dim 16, ValueError at
-    # dim 2 inside scipy) is a numerical failure that names the oracle and t
+    # a non-finite t or grid end is a domain error; a finite t whose Taylor
+    # action would need more than TAYLOR_MAX_SUBSTEPS substeps, or whose
+    # exponent t ||G||_1 overflows, is a numerical failure that names the
+    # oracle and t, with no numpy or scipy warning before it
     rho0 = example_state(0.5, 16)
     for t in (np.inf, np.nan):
         with pytest.raises(DomainError):
             oracle_propagate(rho0, t, P.with_dim(16))
         with pytest.raises(DomainError):
             oracle_trajectory(rho0, np.array([0.0, t]), P.with_dim(16))
-    for d, t in ((16, 1e200), (2, 1e100)):
+    for d, t in ((16, 1e200), (2, 1e100), (2, 1.7e308)):
         rho0 = example_state(0.0, d)
         named = "oracle .* t = " + re.escape(f"{t:g}")
         with pytest.raises(NumericalError, match=named):
             oracle_propagate(rho0, t, P.with_dim(d))
         with pytest.raises(NumericalError, match=named):
             oracle_trajectory(rho0, np.array([0.0, t]), P.with_dim(d))
+
+
+def test_oracle_refuses_substeps_over_budget():
+    # at dim 2, t = 1e7 needs 3.75e6 substeps: refused before any product,
+    # naming t and the substep count, where an unbounded action ran for hours
+    p = P.with_dim(2)
+    rho0 = example_state(0.0, 2)
+    G = sparse_generator(p)
+    substeps = math.ceil(1e7 * abs(G).sum(axis=0).max() / TAYLOR_SUBSTEP_NORM)
+    assert substeps > TAYLOR_MAX_SUBSTEPS
+    start = time.process_time()
+    for run in (lambda: oracle_propagate(rho0, 1e7, p),
+                lambda: oracle_trajectory(rho0, np.array([0.0, 1e7]), p)):
+        with pytest.raises(NumericalError, match=rf"t = 1e\+07: .*\b{substeps} substeps"):
+            run()
+    assert time.process_time() - start < 1.0
+
+
+def test_taylor_action_budget_is_checked_before_any_product():
+    class Counted:
+        def __init__(self, G):
+            self.G, self.products = G, 0
+
+        def __matmul__(self, other):
+            self.products += 1
+            return self.G @ other
+
+    G = sparse_generator(P)
+    counted = Counted(G)
+    norm = float(abs(G).sum(axis=0).max())
+    over = (TAYLOR_MAX_SUBSTEPS + 1) * TAYLOR_SUBSTEP_NORM / norm
+    with pytest.raises(NumericalError, match=f"{TAYLOR_MAX_SUBSTEPS + 1} substeps"):
+        _taylor_action(counted, norm, over, vectorize_blocks(example_state(0.3, P.dim)))
+    assert counted.products == 0
+
+
+def test_oracle_trajectory_starts_at_first_grid_time():
+    # rho0 sits at ts[0] and each state is the flow over ts[i] - ts[0], on
+    # any non-decreasing grid; a decreasing grid is a domain error
+    p = P.with_dim(16)
+    rho0 = example_state(0.5, p.dim)
+    late = oracle_trajectory(rho0, np.array([1.0, 1.5, 2.0]), p)
+    assert late[0] is rho0
+    for state, t in zip(late[1:], (0.5, 1.0)):
+        assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
+    uneven = oracle_trajectory(rho0, np.array([0.0, 0.1, 2.0]), p)
+    for state, t in zip(uneven[1:], (0.1, 2.0)):
+        assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
+    with pytest.raises(DomainError):
+        oracle_trajectory(rho0, np.array([0.0, 2.0, 1.0]), p)
+
+
+@pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
+def test_oracle_matches_independent_exponentials():
+    # scipy's expm_multiply of the sparse generator and dense expm of the
+    # Kronecker-assembled generator: two exponentials the oracle shares no
+    # code with
+    p = P.with_dim(10)
+    rho0 = example_state(0.3, p.dim)
+    v = vectorize_blocks(rho0)
+    G = sparse_generator(p)
+    dense = build_generator(p)
+    for t in (0.3, 1.1, 2.0):
+        got = vectorize_blocks(oracle_propagate(rho0, t, p))
+        assert np.abs(got - expm_multiply(t * G, v)).max() < 1e-13
+        assert np.abs(got - expm(t * dense) @ v).max() < 1e-13
+    ts = np.array([0.0, 0.125, 0.25, 0.75, 2.0])
+    states = oracle_trajectory(rho0, ts, p)
+    want = expm_multiply(G, v, start=0.0, stop=2.0, num=17, endpoint=True)[[0, 1, 2, 6, 16]]
+    for state, t, w in zip(states, ts, want):
+        got = vectorize_blocks(state)
+        assert np.abs(got - w).max() < 1e-13
+        assert np.abs(got - expm(t * dense) @ v).max() < 1e-13
 
 
 def test_diagnostics_flags_bad_states():
@@ -179,7 +270,6 @@ def test_converged_expm_differs_from_plain_at_edge():
     # plain expm of the truncated generator and the compressed enlarged-cutoff
     # flow differ by O(1) matrix elements near the cutoff; acting on a state
     # that stays far away from the edge, both give the same answer
-    from scipy.linalg import expm
     p = P.with_dim(8)
     plain = expm(0.6 * build_generator(p))
     conv = converged_expm(0.6, p, pad=8)

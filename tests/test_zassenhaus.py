@@ -25,7 +25,6 @@ from dampedjc import (
     build_Y,
     coherent_state,
     commutator_blocks,
-    converged_expm,
     creation,
     diagonal_block_propagator,
     example_solution,
