@@ -2,11 +2,11 @@
 
 Two deliberately independent routes to the same flow:
 
-* DENSE_EXPM -- the action of exp(t (X + Y)) on the vectorized state: the
-  Taylor action that the split3 commutator factor also uses
-  (superop._taylor_action), of the sparse generator with its exact 1-norm;
-  no propagator matrix is formed.  The name predates the sparse route and
-  is kept so that configs and output columns do not change;
+* DENSE_EXPM -- the action of exp(t (X + Y)) on the vectorized state:
+  superop._taylor_action, as in split3 (a forward Taylor sum, stopped at a
+  rigorous tail bound, capped at the a-priori degree), of the sparse
+  generator with its exact 1-norm; no propagator matrix is formed.  The name
+  predates the sparse route and is kept so configs and columns do not change;
 * RK4 -- classic fixed-step Runge-Kutta on the componentwise right-hand
   side written directly in d x d block algebra (never touching the
   superoperator code path).

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dzasum
 
 from .errors import NumericalError, ShapeError, TruncationWarning
 from .fock import annihilation, creation, number
@@ -315,12 +316,14 @@ TAYLOR_MAX_SUBSTEPS = 100_000   # a longer schedule is refused before any produc
 
 
 def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
-    """e^{cG} V as s = max(1, ceil(x / TAYLOR_SUBSTEP_NORM)) substeps,
-    x = |c| ||G||_1, of the degree-m Taylor polynomial in Horner form; m is
-    the least with a 1-norm remainder bound (x/s)^{m+1}/(m+1)! e^{x/s} <=
-    2^-53, fixed before the loop.  NumericalError (callers prefix their
-    name) when x is not finite, when s > TAYLOR_MAX_SUBSTEPS, or as soon as
-    a substep leaves a non-finite value, without numpy's warnings."""
+    """e^{cG} V in s = max(1, ceil(x / TAYLOR_SUBSTEP_NORM)) substeps, x =
+    |c| ||G||_1, each a forward Taylor sum V + B_1 + ... + B_k, B_k = (cG/s)^k
+    V / k!, capped at the a-priori degree m (the least with (x/s)^{m+1}/(m+1)!
+    e^{x/s} <= 2^-53) and stopped at the first 2 <= k <= m-2 with r = x/(s(k+1))
+    < 1 and ||B_k||_1 r/(1-r) <= 2^-53 ||V||_1 e^{-jx/s}, j substeps left: the
+    tail, amplified by the later substeps, is below that (B_{k+i} = (cG/s)^i B_k
+    k!/(k+i)!).  NumericalError (callers prefix their name) when x is not finite,
+    when s > TAYLOR_MAX_SUBSTEPS, or at the first non-finite substep, unwarned."""
     x = abs(c) * norm
     if not math.isfinite(x):
         raise NumericalError(f"exponent |c| ||G||_1 = {x} is not finite")
@@ -333,12 +336,17 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
         m += 1
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(s):
-            W = V
-            for k in range(m, 0, -1):   # V + cG/(s k) (V + ...)
-                W = G @ W
-                W *= c / (s * k)
-                W += V
-            V = W
+            # entrywise ||.||_1 <= dzasum (sum |re| + |im|) <= sqrt(2) ||.||_1
+            floor = dzasum(V.ravel()) * math.exp(x / s * (step + 1 - s)) / 2 ** 53.5
+            F = B = V
+            for k in range(1, m + 1):
+                B = G @ B
+                B *= c / (s * k)
+                F = np.add(F, B, out=None if k == 1 else F)   # one new array per substep
+                r = x / (s * (k + 1))
+                if 2 <= k <= m - 2 and r < 1 and dzasum(B.ravel()) * r / (1 - r) <= floor:
+                    break
+            V = F
             if not np.isfinite(V).all():
                 raise NumericalError(f"action overflowed at substep {step + 1} of {s}")
     return V

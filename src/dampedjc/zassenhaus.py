@@ -19,9 +19,9 @@ tau_series call on the four stacked blocks, in which each of the two series
 is one real GEMM with a triangular Toeplitz matrix along the diagonals of
 the blocks in a factorial-scaled basis, and U acts through its four nonzero
 diagonals (row scalings plus one-row shifts), O(d^2) work.  The Split3
-commutator factor is the Taylor action superop._taylor_action, shared with
-the oracle, of its two cached sparse pair generators and their 1-norms: no
-norm estimation or other set-up per call.
+commutator factor is superop._taylor_action (a forward Taylor sum, stopped at
+a rigorous tail bound, capped at the a-priori degree), shared with the oracle,
+of its two cached sparse pair generators and their 1-norms: no set-up per call.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -246,9 +246,9 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 
 def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
     """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to a stacked state given as four
-    padded component vectors, via the fixed-degree Taylor action
-    (_taylor_action) of the cached sparse pair generators (F2 couples
-    components (0,1) and (2,3); F1 couples (0,2) and (1,3))."""
+    padded component vectors, via _taylor_action (a forward sum, stopped at a
+    rigorous tail bound, capped at the a-priori degree) of the cached sparse
+    pair generators (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3))."""
     (G1, norm1), (G2, norm2), _ = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
     v0, v1, v2, v3 = vec4

@@ -36,7 +36,7 @@ from dampedjc import (
     trace_distance,
     vectorize_blocks,
 )
-from dampedjc.superop import block_phases, fock_keep_indices
+from dampedjc.superop import BLOCK_KEYS, block_phases, fock_keep_indices
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -276,41 +276,105 @@ def test_commutator_factor_at_theta_zero_returns_input():
     # Omega = 0 gives theta = 0 at t > 0: split3 is split2 exactly
     p0 = ModelParams(omega0=1.0, Omega=0.0, mu=0.2, nu=0.1, dim=d)
     rho0 = example_state(0.2, d)
-    assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3, pad=pad).full(),
-                          propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2, pad=pad).full())
+    # (this small state fills the top levels: each call warns once)
+    with pytest.warns(TruncationWarning) as caught:
+        assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3, pad=pad).full(),
+                              propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2, pad=pad).full())
+    assert len(caught) == 2
 
 
+class Counted:
+    """A sparse matrix that counts its products with a vector."""
+
+    def __init__(self, G):
+        self.G, self.products = G, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.G @ other
+
+
+def _padded_pair(blocks, dp):
+    """Four d x d blocks, padded to dp x dp, in the (2 dp^2, 2) layout that
+    the F2 pair generator acts on: columns (rho00, rho01) and (rho10, rho11)."""
+    padded = np.zeros((4, dp, dp), dtype=complex)
+    d = blocks[0].shape[0]
+    padded[:, :d, :d] = blocks
+    v = padded.reshape(4, dp * dp)
+    return np.column_stack([np.concatenate(v[:2]), np.concatenate(v[2:])])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_taylor_action_vs_dense_expm():
     # substeps of up to 8 norm units: across the s = 1 -> 2 switch at x = 8
-    # and at several substeps, the action matches the dense exponential
+    # and at several substeps, the action matches the dense exponential.  Its
+    # forward sum stops at a tail bound that holds in exact arithmetic, on
+    # random input, a low-level state (terms die early), weight only in the
+    # top padded levels (terms die late: no early stop), zero columns (exact
+    # zeros) and a NaN (NumericalError, no numpy warning)
     from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action
-    (G, norm), _, _ = _sparse_pair_generators(P.with_dim(13), 8)
+    d, pad = 13, 8
+    dp = d + pad
+    (G, norm), _, _ = _sparse_pair_generators(P.with_dim(d), pad)
     rng = np.random.default_rng(5)
     V = rng.standard_normal((G.shape[0], 2)) + 1j * rng.standard_normal((G.shape[0], 2))
+    low = _padded_pair([example_state(1.0, d).block(*key) for key in BLOCK_KEYS], dp)
+    top = np.zeros((4, dp, dp), dtype=complex)
+    top[:, dp - 3:, dp - 3:] = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    top = _padded_pair(list(top), dp)
+    one_zero = low.copy()
+    one_zero[:, 1] = 0
+    poisoned = low.copy()
+    poisoned[5, 0] = np.nan
     for k, x in enumerate((0.5, 4.0, 7.9, 8.1, 16.0, 40.0)):
         c = (-1) ** k * 1j * x / norm
-        exact = expm(c * G.toarray()) @ V
-        err = np.abs(_taylor_action(G, norm, c, V) - exact).max()
-        assert err <= 1e-13 * np.abs(exact).max(), (x, err)
+        F = expm(c * G.toarray())
+        for W in (V, low, top, one_zero):
+            exact = F @ W
+            err = np.abs(_taylor_action(G, norm, c, W) - exact).max()
+            assert err <= 1e-13 * np.abs(exact).max(), (x, err)
+        assert not _taylor_action(G, norm, c, one_zero)[:, 1].any()
+        assert not _taylor_action(G, norm, c, np.zeros_like(low)).any()
+        with pytest.raises(NumericalError, match="overflowed at substep 1 "):
+            _taylor_action(G, norm, c, poisoned)
 
 
-def test_taylor_action_product_count():
-    # at x = 7 one substep of degree 46 replaces 7 substeps of degree 18
-    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action
-
-    class Counted:
-        def __init__(self, G):
-            self.G, self.products = G, 0
-
-        def __matmul__(self, other):
-            self.products += 1
-            return self.G @ other
-
-    (G, norm), _, _ = _sparse_pair_generators(P.with_dim(13), 8)
+@pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
+def test_taylor_action_product_count(monkeypatch):
+    # the forward sum never makes more products than the a-priori degree, 46
+    # at x = 7, which a NaN runs to in full; on the README default run the
+    # stop about halves the products of the split3 grid (1948 at the fixed
+    # degree) and of the oracle grid (880)
+    from dampedjc import cli, oracle, zassenhaus
+    from dampedjc.superop import _taylor_action
+    (G, norm), _, _ = zassenhaus._sparse_pair_generators(P.with_dim(13), 8)
+    rng = np.random.default_rng(9)
+    for V in (np.ones((G.shape[0], 2), dtype=complex),
+              rng.standard_normal((G.shape[0], 2)) + 1j * rng.standard_normal((G.shape[0], 2)),
+              np.zeros((G.shape[0], 2), dtype=complex)):
+        counted = Counted(G)
+        _taylor_action(counted, norm, 7j / norm, V)
+        assert counted.products <= 46
     counted = Counted(G)
-    V = np.ones((G.shape[0], 2), dtype=complex)
-    _taylor_action(counted, norm, 7j / norm, V)
+    with pytest.raises(NumericalError):
+        _taylor_action(counted, norm, 7j / norm, np.full((G.shape[0], 2), np.nan + 0j))
     assert counted.products == 46
+
+    products = {}
+
+    def counting(module):
+        def action(G, norm, c, V):
+            counted = Counted(G)
+            out = _taylor_action(counted, norm, c, V)
+            products[module] = products.get(module, 0) + counted.products
+            return out
+        monkeypatch.setattr(module, "_taylor_action", action)
+
+    counting(zassenhaus)
+    counting(oracle)
+    cli.run_trajectory(cli.config_from_dict({}))
+    assert products[zassenhaus] <= 1000
+    assert products[oracle] <= 530
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
