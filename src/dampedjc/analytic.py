@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -55,9 +56,9 @@ class EFG:
 
 
 def efg(t: float, p: ModelParams) -> EFG:
-    """Evaluate E, F, G at time t >= 0."""
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
+    """Evaluate E, F, G at a finite time t >= 0."""
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     delta = p.mu - p.nu
     x = delta * t / 2
     r = (p.mu + p.nu) / delta
@@ -89,8 +90,6 @@ def diagonal_block_propagator(t: float, p: ModelParams, phase: float = 0.0) -> n
     the scalar prefactor e^{(mu-nu)t/2} and the phase are folded into the
     diagonal middle factor.
     """
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
     d = p.dim
     g = efg(t, p)
     Kp, Km, _, _ = k_generators(d)
@@ -131,6 +130,35 @@ def _exp_series(z: float, d: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], z / np.arange(1.0, d))))
 
 
+@lru_cache(maxsize=8)
+def _tau_operators(t: float, p: ModelParams) -> tuple:
+    """tau_series' t-only operators, read-only: the input scaling w, the m-sum
+    matrix, the skewed middle factor, the n-sum matrix and the output scalings."""
+    g = efg(t, p)
+    d = p.dim
+    n = np.arange(d)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
+    log_c2 = -log_fact[-1] / (d - 1)
+    log_w = 0.5 * log_fact + 0.5 * log_c2 * n
+    w = np.exp(log_w)
+    # sigma = W tau0 W: the column scaling goes in before _skew, the row
+    # scaling folds into the columns of the m-sum matrix.  The middle factor
+    # e^{-log F N} on both sides, moved to the W^-1 basis, splits the same
+    # way over the n-sum; its skewed column part is zero off the band, which
+    # also clears what the m-sum GEMM writes outside each diagonal's extent.
+    mid = np.exp(-g.log_F * n - 2.0 * log_w)
+    lag = n[:, None] - n
+    m_sum = np.tril(_exp_series(g.E * math.exp(-log_c2), d)[lag]).T * w
+    n_sum = np.tril(_exp_series(g.G * math.exp(-log_c2), d)[lag]) * mid
+    phase = np.exp(-1j * p.omega0 * t * n)
+    out_w = math.exp((p.mu - p.nu) * t / 2 - g.log_F) * w * phase
+    ops = (w, m_sum, _skew(np.broadcast_to(mid, (d, d))), n_sum,
+           out_w[:, None], w * phase.conj())
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
 def tau_series(tau0: np.ndarray, t: float, p: ModelParams) -> np.ndarray:
     """Double-series form of the diagonal flow applied to tau0:
 
@@ -154,40 +182,23 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams) -> np.ndarray:
     columns (_skew), so each sum is one GEMM of a real Toeplitz matrix with
     the float view of the complex stack (a real GEMM, a quarter of the work
     of a complex one).  The phases e^{-i w0 t (i-j)} are constant along a
-    diagonal and applied last.  tau0 may carry leading batch axes, shape
-    (..., dim, dim); each dim x dim slice is flowed independently.
+    diagonal and applied last.  These t-only operators are built once per
+    (t, params) in a bounded cache shared by every propagator order.  tau0
+    may carry leading batch axes, shape (..., dim, dim); each dim x dim
+    slice is flowed independently.
     """
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     tau0 = np.asarray(tau0, dtype=complex)
     d = p.dim
     if tau0.shape[-2:] != (d, d):
         raise DomainError(f"tau0 must be (..., {d}, {d}) for dim={d}, got {tau0.shape}")
 
-    g = efg(t, p)
-    n = np.arange(d)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, d)))))
-    log_c2 = -log_fact[-1] / (d - 1)
-    log_w = 0.5 * log_fact + 0.5 * log_c2 * n
-    w = np.exp(log_w)
-    # sigma = W tau0 W: the column scaling goes in before _skew, the row
-    # scaling folds into the columns of the m-sum matrix.  The middle factor
-    # e^{-log F N} on both sides, moved to the W^-1 basis, splits the same
-    # way over the n-sum; its skewed column part is zero off the band, which
-    # also clears what the m-sum GEMM writes outside each diagonal's extent.
-    mid = np.exp(-g.log_F * n - 2.0 * log_w)
-    lag = n[:, None] - n
-    m_sum = np.tril(_exp_series(g.E * math.exp(-log_c2), d)[lag]).T * w
-    n_sum = np.tril(_exp_series(g.G * math.exp(-log_c2), d)[lag]) * mid
-
+    w, m_sum, mid, n_sum, out_rows, out_cols = _tau_operators(float(t), p)
     sigma = _skew(tau0 * w)
-    sigma = (m_sum @ sigma.view(float)).view(complex) * _skew(np.broadcast_to(mid, (d, d)))
+    sigma = (m_sum @ sigma.view(float)).view(complex) * mid
     sigma = (n_sum @ sigma.view(float)).view(complex)
-
-    x = (p.mu - p.nu) * t / 2
-    phase = np.exp(-1j * p.omega0 * t * n)
-    out_w = math.exp(x - g.log_F) * w * phase
-    return (out_w[:, None] * _unskew(sigma)) * (w * phase.conj())
+    return (out_rows * _unskew(sigma)) * out_cols
 
 
 def vacuum_solution(t: float, p: ModelParams) -> np.ndarray:
@@ -195,8 +206,6 @@ def vacuum_solution(t: float, p: ModelParams) -> np.ndarray:
 
     At t=0 (G=0) this is the projector onto n=0, the G -> 0+ limit.
     """
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
     g = efg(t, p)
     x = (p.mu - p.nu) * t / 2
     n = np.arange(p.dim)

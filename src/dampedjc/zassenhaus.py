@@ -15,26 +15,27 @@ operators A, B, C, D.
 
 On a state, propagate applies the first two factors with no Python loop
 over Fock levels or series terms: the diagonal flow is one batched
-tau_series call on the four stacked blocks, in which each of the two series
-is one real GEMM with a triangular Toeplitz matrix along the diagonals of
-the blocks in a factorial-scaled basis, and U acts through its four nonzero
-diagonals (row scalings plus one-row shifts), O(d^2) work.  The Split3
-commutator factor is superop._taylor_action (a forward Taylor sum, stopped at
-a rigorous tail bound, capped at the a-priori degree), shared with the oracle,
-of its two cached sparse pair generators and their 1-norms: no set-up per call.
+tau_series call on the four stacked blocks (two real GEMMs with triangular
+Toeplitz matrices along the block diagonals, in a factorial-scaled basis),
+and U acts through its four nonzero diagonals, O(d^2) work.  Their t-only
+operators are built once per (t, params) in bounded caches shared by every
+order.  The Split3 commutator factor acts on the stacked padded (4, q) array
+through superop._taylor_action (a forward Taylor sum, stopped at a rigorous
+tail bound, capped at the a-priori degree), shared with the oracle, of its
+two cached sparse pair generators and their 1-norms.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
 e^{tY} the restriction is exact (their factors never couple through the
 cutoff), but the commutator factor does couple through it, so it is
-evaluated at an enlarged cutoff dim+pad and compressed back; `pad` trades a
-larger dense exponential for an edge-clean result (the error decays
-factorially in pad, default 8).
+evaluated at an enlarged cutoff dim+pad and compressed back; the error
+decays factorially in pad (default 8).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,6 +135,7 @@ def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
 # the three exponential factors
 
 
+@lru_cache(maxsize=8)
 def _coupling_diagonals(t: float, p: ModelParams):
     """The nonzero diagonals of U = exp(-i Omega t [[0,a],[a+,0]]), the
     2x2 nest of d x d blocks
@@ -142,22 +144,26 @@ def _coupling_diagonals(t: float, p: ModelParams):
              [-i sinc(c rN) a+,  cos(c rN)]]
 
     with c = Omega t, rP = sqrt(N+1), rN = sqrt(N), sinc(c r) = sin(c r)/r.
-    Returns (cos_p, cos_n, up, down): the diagonals of the two diagonal
-    blocks, the superdiagonal of the (0,1) block and the subdiagonal of the
-    (1,0) block.  e^{tY} is the conjugation rho -> U rho U+.
+    Returns (cos_p, cos_n, up, down), read-only: the diagonals of the two
+    diagonal blocks, the superdiagonal of the (0,1) block and the
+    subdiagonal of the (1,0) block.  e^{tY} is the conjugation
+    rho -> U rho U+.  Cached per (t, params), like tau_series' operators.
     """
     d = p.dim
     c = p.Omega * t
     root = np.sqrt(np.arange(1.0, d))   # a[i, i+1] = a+[i+1, i] = root[i]
-    return (cos_sqrt_values(c, d, shift=1),
-            cos_sqrt_values(c, d, shift=0),
-            -1j * sinc_sqrt_values(c, d, shift=1)[:-1] * root,
-            -1j * sinc_sqrt_values(c, d, shift=0)[1:] * root)
+    diagonals = (cos_sqrt_values(c, d, shift=1),
+                 cos_sqrt_values(c, d, shift=0),
+                 -1j * sinc_sqrt_values(c, d, shift=1)[:-1] * root,
+                 -1j * sinc_sqrt_values(c, d, shift=0)[1:] * root)
+    for diagonal in diagonals:
+        diagonal.flags.writeable = False
+    return diagonals
 
 
 def _coupling_blocks(t: float, p: ModelParams):
     """U of `_coupling_diagonals` as a 2x2 nest of dense d x d blocks."""
-    cos_p, cos_n, up, down = _coupling_diagonals(t, p)
+    cos_p, cos_n, up, down = _coupling_diagonals(float(t), p)
     return [[np.diag(cos_p), np.diag(up, 1)],
             [np.diag(down, -1), np.diag(cos_n)]]
 
@@ -201,42 +207,29 @@ def _sparse_pair_generators(p: ModelParams, pad: int):
             (G2, float(abs(G2).sum(axis=0).max())), dp)
 
 
-def _comm_factor_blocks(t: float, p: ModelParams, pad: int):
-    """The two commutator-factor exponentials at the enlarged cutoff.
-
-    Each factor couples two pairs of stacked components through the same
-    2x2-block generator, so one dense expm of size 2(dim+pad)^2 serves both
-    pairs:
+def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarray:
+    """Dense e^{(t^2/2)[X,Y]} as the product of the two commuting factor
+    exponentials, evaluated at cutoff dim+pad and compressed back to dim:
 
         F1 = expm(-i theta [[0,A],[B,0]])   couples (0,2) and (1,3)
         F2 = expm(+i theta [[0,C],[D,0]])   couples (0,1) and (2,3)
 
-    with theta = (t^2/2) Omega.  Returns (F1, F2, dp), each F a
-    2 dp^2 x 2 dp^2 array.
+    with theta = (t^2/2) Omega: each factor's two pairs share one dense expm
+    of size 2(dim+pad)^2.  The product is taken *before* compressing: both
+    factors couple states through the cutoff, so compressing them
+    individually would discard through-edge paths of the product.
     """
+    if not (t >= 0):
+        raise DomainError(f"t must be >= 0, got {t}")
+    if pad < 0:
+        raise DomainError(f"pad must be >= 0, got {pad}")
     (G1, _), (G2, _), dp = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
     F1 = expm(-1j * theta * G1.toarray())
     F2 = expm(+1j * theta * G2.toarray())
     if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
         raise NumericalError("commutator-factor exponential returned non-finite values")
-    return F1, F2, dp
-
-
-def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarray:
-    """Dense e^{(t^2/2)[X,Y]} as the product of the two commuting factor
-    exponentials, evaluated at cutoff dim+pad and compressed back to dim.
-
-    The product is taken *before* compressing: both factors couple states
-    through the cutoff, so compressing them individually would discard
-    through-edge paths of the product.
-    """
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
-    if pad < 0:
-        raise DomainError(f"pad must be >= 0, got {pad}")
-    f1, f2, dp = _comm_factor_blocks(t, p, pad)
-    F1, F2 = _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
+    F1, F2 = _on_atom_index(F1, side=0), _on_atom_index(F2, side=1)
     return restrict_superop(F1 @ F2, dp, p.dim, nblocks=4)
 
 
@@ -244,26 +237,24 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
-def _apply_comm_factors(vec4: list, t: float, p: ModelParams, pad: int) -> list:
-    """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to a stacked state given as four
-    padded component vectors, via _taylor_action (a forward sum, stopped at a
-    rigorous tail bound, capped at the a-priori degree) of the cached sparse
-    pair generators (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3))."""
+def _apply_comm_factors(V: np.ndarray, t: float, p: ModelParams, pad: int) -> np.ndarray:
+    """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to the four padded stacked components,
+    shape (4, q), via _taylor_action (a forward sum, stopped at a rigorous tail
+    bound, capped at the a-priori degree) of the cached sparse pair generators
+    (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3)).  Each (2q, 2)
+    column pair is one reshape/transpose copy; returns (4, q)."""
     (G1, norm1), (G2, norm2), _ = _sparse_pair_generators(p, pad)
     theta = 0.5 * t * t * p.Omega
-    v0, v1, v2, v3 = vec4
-    q = v0.size
+    q = V.shape[1]
     try:
-        W = _taylor_action(G2, norm2, +1j * theta,
-                           np.column_stack([np.concatenate([v0, v1]),
-                                            np.concatenate([v2, v3])]))
-        w0, w1, w2, w3 = W[:q, 0], W[q:, 0], W[:q, 1], W[q:, 1]
+        # columns [v0; v1] and [v2; v3]
+        W = _taylor_action(G2, norm2, +1j * theta, np.ascontiguousarray(V.reshape(2, 2 * q).T))
+        # columns [w0; w2] and [w1; w3], w0..w3 the rows of W.reshape(2, q, 2)
         U = _taylor_action(G1, norm1, -1j * theta,
-                           np.column_stack([np.concatenate([w0, w2]),
-                                            np.concatenate([w1, w3])]))
+                           W.reshape(2, q, 2).transpose(2, 1, 0).reshape(2 * q, 2))
     except NumericalError as e:
         raise NumericalError(f"commutator-factor {e}") from None
-    return [U[:q, 0], U[:q, 1], U[q:, 0], U[q:, 1]]
+    return U.reshape(2, q, 2).transpose(0, 2, 1).reshape(4, q)
 
 
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -277,20 +268,20 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     compose steps -- that is a harness-level choice, see the CLI.
 
     Implemented in operator form rather than through the dense
-    superoperator: e^{tX} is one tau_series call on the four blocks stacked
-    along its batch axis (two real GEMMs with triangular Toeplitz matrices
-    along the diagonals, in the factorial-scaled basis), times the scalar
-    phases (0, -w0, +w0, 0); e^{tY} is the unitary conjugation
-    rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U applied through
-    its diagonals; and the Split3 commutator factor acts at the enlarged
-    cutoff through the Taylor action of the sparse pair generators
-    (_apply_comm_factors), compressed afterwards.  The tests
-    check it against the dense product of exp_Y, exp_commutator and the
-    diagonal-block propagator, independent numerics, to ~1e-13.
+    superoperator: e^{tX} is one tau_series call on the four stacked blocks
+    times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
+    conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
+    applied through its diagonals; and the Split3 commutator factor acts on
+    the stacked array padded to dim+pad (_apply_comm_factors), compressed
+    afterwards.  The t-only operators of the first two factors come from
+    bounded caches keyed by (t, params) and shared by every order, so steps
+    of one h build them once.  The tests check it against the dense product
+    of exp_Y, exp_commutator and the diagonal-block propagator, independent
+    numerics, to ~1e-13.
     """
     order = PropagatorOrder(order)
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     if rho0.dim != p.dim:
         raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
     if pad < 0:
@@ -307,7 +298,7 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
 
     if order is not PropagatorOrder.DIAGONAL_ONLY:
         # U rho U+ = (U (U rho)+)+, U applied through its diagonals
-        diagonals = _coupling_diagonals(t, p)
+        diagonals = _coupling_diagonals(float(t), p)
         half = _coupling_left(diagonals, blocks.reshape(2, 2, d, d))
         blocks = _dagger(_coupling_left(diagonals, _dagger(half))).reshape(4, d, d)
 
@@ -315,8 +306,8 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         dp = d + pad
         padded = np.zeros((4, dp, dp), dtype=complex)
         padded[:, :d, :d] = blocks
-        parts = _apply_comm_factors(list(padded.reshape(4, dp * dp)), t, p, pad)
-        blocks = [np.asarray(w).reshape(dp, dp)[:d, :d] for w in parts]
+        padded = _apply_comm_factors(padded.reshape(4, dp * dp), t, p, pad)
+        blocks = padded.reshape(4, dp, dp)[:, :d, :d]
 
     out = BlockDensity(*blocks)
     warn_on_guard_occupation(out)

@@ -27,13 +27,16 @@ from dampedjc import (
     commutator_blocks,
     creation,
     diagonal_block_propagator,
+    efg,
     example_solution,
     exp_commutator,
     exp_Y,
     oracle_propagate,
     propagate,
     restrict_superop,
+    tau_series,
     trace_distance,
+    vacuum_solution,
     vectorize_blocks,
 )
 from dampedjc.superop import BLOCK_KEYS, block_phases, fock_keep_indices
@@ -229,10 +232,12 @@ def test_exp_commutator_factors_commute_after_compression():
     # the two factor exponentials commute in the compressed algebra (their
     # generators do in the untruncated one); the uncompressed padded factors
     # do not -- ordering matters only through discarded levels
-    from dampedjc.zassenhaus import _comm_factor_blocks, _on_atom_index
+    from dampedjc.zassenhaus import _on_atom_index, _sparse_pair_generators
     d = 8
     p = P.with_dim(d)
-    f1, f2, dp = _comm_factor_blocks(0.4, p, 8)
+    (G1, _), (G2, _), dp = _sparse_pair_generators(p, 8)
+    theta = 0.5 * 0.4 ** 2 * p.Omega
+    f1, f2 = expm(-1j * theta * G1.toarray()), expm(+1j * theta * G2.toarray())
     F1, F2 = _on_atom_index(f1, side=0), _on_atom_index(f2, side=1)
     ab = restrict_superop(F1 @ F2, dp, d, nblocks=4)
     ba = restrict_superop(F2 @ F1, dp, d, nblocks=4)
@@ -266,8 +271,9 @@ def test_commutator_factor_at_theta_zero_returns_input():
     d, pad = 6, 4
     p = P.with_dim(d)
     rng = np.random.default_rng(3)
-    vec4 = [rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
-            for _ in range(4)]
+    # the four padded stacked components as one (4, q) array
+    vec4 = np.array([rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
+                     for _ in range(4)])
     for got, want in zip(_apply_comm_factors(vec4, 0.0, p, pad), vec4):
         assert np.array_equal(got, want)
     (G1, norm1), _, _ = _sparse_pair_generators(p, pad)
@@ -435,6 +441,60 @@ def test_propagate_validation():
     # explicit bound lifts the guard
     p = P.with_dim(14)
     propagate(example_state(0.5, 14), 1.5, p, step_bound=2.0)
+
+
+def test_non_finite_time_is_a_domain_error():
+    # rejected with a DomainError naming t before either cache of t-only
+    # operators is looked up, and with no numpy warning (error::RuntimeWarning)
+    from dampedjc.analytic import _tau_operators
+    from dampedjc.zassenhaus import _coupling_diagonals
+    p = P.with_dim(8)
+    rho0 = example_state(0.3, 8)
+    before = (_tau_operators.cache_info(), _coupling_diagonals.cache_info())
+    for t in (math.inf, -math.inf, math.nan):
+        calls = [lambda: efg(t, p), lambda: tau_series(rho0.rho00, t, p),
+                 lambda: vacuum_solution(t, p)]
+        calls += [lambda o=o: propagate(rho0, t, p, o, step_bound=math.inf)
+                  for o in PropagatorOrder]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"t must be finite and >= 0, got {t}"):
+                call()
+    assert (_tau_operators.cache_info(), _coupling_diagonals.cache_info()) == before
+
+
+def test_step_operators_are_built_once_and_reused_bit_identically():
+    # the t-only operators of the diagonal flow and of U are cached per
+    # (t, params) and shared by every order
+    from dampedjc.analytic import _tau_operators
+    from dampedjc.zassenhaus import _coupling_diagonals
+    d, h = 12, 1e-3
+    p = P.with_dim(d)
+    rho0 = example_state(0.6 - 0.3j, d)
+    for order in PropagatorOrder:
+        _tau_operators.cache_clear()
+        _coupling_diagonals.cache_clear()
+        cold = propagate(rho0, h, p, order)
+        want = cold.full()
+        # a returned state owns its arrays: writing to it changes no later call
+        for key in BLOCK_KEYS:
+            cold.block(*key)[:] = 7.0
+        hit = propagate(rho0, h, p, order)
+        assert _tau_operators.cache_info().hits == 1
+        assert np.array_equal(hit.full(), want)
+        # a 0-d array t is looked up as the float it holds
+        assert np.array_equal(propagate(rho0, np.array(h), p, order).full(), want)
+    # the cached arrays are read-only
+    for op in _tau_operators(h, p) + _coupling_diagonals(h, p):
+        with pytest.raises(ValueError):
+            op[...] = 0
+    # 200 steps of one h, all three orders: one build of each
+    _tau_operators.cache_clear()
+    _coupling_diagonals.cache_clear()
+    cur, orders = rho0, list(PropagatorOrder)
+    for i in range(200):
+        cur = propagate(cur, h, p, orders[i % 3])
+    assert _tau_operators.cache_info()[:2] == (199, 1)
+    assert _coupling_diagonals.cache_info().misses == 1
 
 
 def test_propagate_warns_on_edge_occupation():
