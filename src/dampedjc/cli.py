@@ -50,6 +50,7 @@ from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
     PropagatorOrder,
+    commutator_step,
     example_solution,
     propagate,
 )
@@ -281,22 +282,28 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def observables(rho: BlockDensity, oracle_rho: BlockDensity) -> ObservableRow:
+def observables(rho: BlockDensity, ops, oracle) -> ObservableRow:
+    """The observables of rho.  ops = (a, N) are the dense ladder operators,
+    built once per run; oracle = (state, full(), min_eig or None) is the
+    oracle's at the same time.  The oracle's own state reuses its matrix and
+    min_eig (solved here if None); its tdist_oracle is 0 without a solve."""
+    a, N = ops
+    oracle_rho, oracle_full, oracle_min_eig = oracle
+    own = rho is oracle_rho
     osc = rho.rho00 + rho.rho11   # oscillator state, qubit traced out
-    d = rho.dim
-    a = annihilation(d)
     mean_a = complex(np.trace(osc @ a))
-    full = rho.full()
-    sym = 0.5 * (full + full.conj().T)
+    full, min_eig = (oracle_full, oracle_min_eig) if own else (rho.full(), None)
+    if min_eig is None:
+        min_eig = float(np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min())
     return ObservableRow(
         trace=float(full.trace().real),
         p0=float(np.trace(rho.rho00).real),
         p1=float(np.trace(rho.rho11).real),
-        mean_n=float(np.trace(osc @ number(d)).real),
+        mean_n=float(np.trace(osc @ N).real),
         re_a=mean_a.real,
         im_a=mean_a.imag,
-        tdist_oracle=0.0 if rho is oracle_rho else trace_distance(full, oracle_rho.full()),
-        min_eig=float(np.linalg.eigvalsh(sym).min()),
+        tdist_oracle=0.0 if own else trace_distance(full, oracle_full),
+        min_eig=min_eig,
     )
 
 
@@ -324,11 +331,19 @@ def _count_truncation_warnings(method: str):
                       TruncationWarning, stacklevel=3)
 
 
+def _split3_after_split2(split2: list, ts, p: ModelParams, pad: int) -> list:
+    """Split3 at ts from split2's states there: the commutator factor, guarded."""
+    out = [commutator_step(rho, float(t), p, pad) for rho, t in zip(split2, ts)]
+    for rho in out:
+        warn_on_guard_occupation(rho)
+    return out
+
+
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
-                       rho0: BlockDensity, ts: np.ndarray,
-                       oracle_states: list) -> list:
-    if method == ORACLE_EXPM:
-        return oracle_states
+                       rho0: BlockDensity, ts: np.ndarray, done: dict) -> list:
+    """The states of one method at ts; done maps the methods run so far to theirs."""
+    if method in done:
+        return done[method]
     if method == ORACLE_RK4:
         ocfg = OracleConfig(method=OracleMethod.RK4, dt=cfg.rk4_dt)
         out, cur = [rho0], rho0
@@ -345,6 +360,8 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
         # error grows with t * rate, so lift the single-step guard to the
         # largest grid time; this is the mode the closed forms describe.
         bound = max(DEFAULT_STEP_BOUND, cfg.t_max * p.rate * (1 + 1e-9))
+        if order is PropagatorOrder.SPLIT3 and "split2" in done:
+            return _split3_after_split2(done["split2"], ts, p, cfg.pad)
         return [propagate(rho0, float(t), p, order, step_bound=bound, pad=cfg.pad)
                 for t in ts]
     # stepping: compose short steps between grid points
@@ -371,21 +388,23 @@ def run_trajectory(cfg: RunConfig):
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
     with _count_truncation_warnings(ORACLE_EXPM):
         warn_on_guard_occupation(rho0)   # the oracle column's t = 0 state
-        oracle_states = oracle_trajectory(rho0, ts, p)
-    trajectories = {}
+        oracle_states, oracle_min_eigs = oracle_trajectory(rho0, ts, p)
+    trajectories = {ORACLE_EXPM: oracle_states}
     for m in cfg.methods:
         with _count_truncation_warnings(m):
-            trajectories[m] = _method_trajectory(m, cfg, p, rho0, ts, oracle_states)
+            trajectories[m] = _method_trajectory(m, cfg, p, rho0, ts, trajectories)
 
     columns = ["t"]
     for m in cfg.methods:
         prefix = m.replace("-", "_")
         columns.extend(f"{prefix}_{name}" for name in OBSERVABLE_NAMES)
+    ops = (annihilation(p.dim), number(p.dim))
     rows = []
     for i, t in enumerate(ts):
+        oracle = (oracle_states[i], oracle_states[i].full(), oracle_min_eigs[i])
         row = [float(t)]
         for m in cfg.methods:
-            row.extend(observables(trajectories[m][i], oracle_states[i]).values())
+            row.extend(observables(trajectories[m][i], ops, oracle).values())
         rows.append(row)
     return columns, rows
 
@@ -405,13 +424,14 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
                       pad: int = DEFAULT_PAD) -> ConvergenceResult:
     """Single-step error of split2 and split3 versus step size.
 
-    For each h the propagator is applied once and compared (trace distance)
-    with the exact flow over the same h, from one oracle sweep over the
-    sorted h; the log-log slope estimates the local order (2 for split2, 3
-    for split3).  h_list must hold at least three positive values in
-    geometric progression.  When all errors sit at rounding level (< 1e-12)
-    the slope is meaningless and is reported as None ("exact"), e.g. for
-    Omega = 0 where the splitting is exact.
+    For each h split2 is applied once, and split3 is the commutator factor
+    on that state; each is compared (trace distance) with the exact flow
+    over the same h, from one oracle sweep over the sorted h.  The log-log
+    slope estimates the local order (2 for split2, 3 for split3).  h_list
+    must hold at least three positive values in geometric progression.
+    When all errors sit at rounding level (< 1e-12) the slope is
+    meaningless and is reported as None ("exact"), e.g. for Omega = 0 where
+    the splitting is exact.
     TruncationWarnings come out as one per method, as in run_trajectory.
     """
     h = tuple(float(x) for x in h_list)
@@ -426,22 +446,18 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
 
     bound = max(DEFAULT_STEP_BOUND, max(h) * p.rate * (1 + 1e-9))
     with _count_truncation_warnings(ORACLE_EXPM):
-        states = oracle_trajectory(rho0, [0.0, *sorted(h)], p)
+        states, _ = oracle_trajectory(rho0, [0.0, *sorted(h)], p)
     exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
-    errors = {}
-    slopes = {}
-    for order in (PropagatorOrder.SPLIT2, PropagatorOrder.SPLIT3):
-        errs = []
-        with _count_truncation_warnings(order.value):
-            for step in h:
-                approx = propagate(rho0, step, p, order, step_bound=bound, pad=pad)
-                errs.append(trace_distance(approx.full(), exact[step]))
-        errors[order.value] = tuple(errs)
-        if max(errs) < 1e-12:
-            slopes[order.value] = None
-        else:
-            fit = np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(errs)), 1)
-            slopes[order.value] = float(fit[0])
+    with _count_truncation_warnings("split2"):
+        split2 = [propagate(rho0, step, p, PropagatorOrder.SPLIT2, step_bound=bound, pad=pad)
+                  for step in h]
+    with _count_truncation_warnings("split3"):
+        split3 = _split3_after_split2(split2, h, p, pad)
+    errors = {name: tuple(trace_distance(rho.full(), exact[step]) for rho, step in zip(got, h))
+              for name, got in (("split2", split2), ("split3", split3))}
+    slopes = {name: None if max(errs) < 1e-12 else
+              float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(errs)), 1)[0])
+              for name, errs in errors.items()}
     return ConvergenceResult(h=h, errors=errors, slopes=slopes)
 
 

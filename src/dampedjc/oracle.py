@@ -150,9 +150,10 @@ def _axpy(base: BlockDensity, delta: BlockDensity, c: float) -> BlockDensity:
                           for i, j in BLOCK_KEYS))
 
 
-def _vet(rho: BlockDensity, trace0: complex) -> None:
+def _vet(rho: BlockDensity, trace0: complex) -> float:
     """NumericalError if rho is not finite; StepError unless its trace drift
-    from trace0, hermiticity defect and negativity stay below ORACLE_TOL."""
+    from trace0, hermiticity defect and negativity stay below ORACLE_TOL.
+    Returns the smallest eigenvalue of the hermitized rho, from this check."""
     if not np.all(np.isfinite(vectorize_blocks(rho))):
         raise NumericalError("oracle integration produced non-finite entries")
     rep = diagnostics(rho)
@@ -163,6 +164,7 @@ def _vet(rho: BlockDensity, trace0: complex) -> None:
             f"oracle result fails consistency checks: trace drift {drift:.3e}, "
             f"hermiticity defect {rep.hermiticity_defect:.3e}, negativity {neg:.3e} "
             f"(tolerance {ORACLE_TOL:.1e})")
+    return rep.min_eigenvalue
 
 
 def _sweep(rho0: BlockDensity, ts, p: ModelParams):
@@ -209,19 +211,20 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     return out
 
 
-def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams) -> list:
+def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams) -> tuple:
     """Exact states on any non-decreasing grid ts, rho0 at ts[0], from one
-    generator build.  rho0 is returned as given; each later state is vetted
-    and guarded like an oracle_propagate result."""
+    generator build, as (states, min_eigs).  rho0 is returned as given, with
+    min_eig None; each later state is vetted and guarded like an
+    oracle_propagate result, and its min_eig is the one its vetting solved."""
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
         raise DomainError(f"oracle grid times must be finite and non-decreasing, got {ts}")
-    states = [rho0]
+    states, min_eigs = [rho0], [None]
     for v in _sweep(rho0, ts, p):
         states.append(devectorize_blocks(v, p.dim))
-        _vet(states[-1], rho0.trace())
+        min_eigs.append(_vet(states[-1], rho0.trace()))
         warn_on_guard_occupation(states[-1])
-    return states
+    return states, min_eigs
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,12 @@ class BlockDensity:
         return getattr(self, f"rho{i}{j}")
 
     def full(self) -> np.ndarray:
-        """Assemble the 2*dim x 2*dim matrix."""
-        return np.block([[self.rho00, self.rho01], [self.rho10, self.rho11]])
+        """Assemble the 2*dim x 2*dim matrix, block by block into its slices."""
+        d = self.dim
+        out = np.empty((2 * d, 2 * d), dtype=complex)
+        out[:d, :d], out[:d, d:], out[d:, :d], out[d:, d:] = (
+            self.rho00, self.rho01, self.rho10, self.rho11)
+        return out
 
     @classmethod
     def from_full(cls, M: np.ndarray) -> "BlockDensity":

@@ -189,6 +189,8 @@ def exp_Y(t: float, p: ModelParams) -> np.ndarray:
     """Dense e^{tY} on the stacked space: U kron conj(U), reordered to the
     (block, fock-pair) layout, so that stacked block (2i+j, 2k+l) is
     U[i][k] kron conj(U)[j][l]."""
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     d = p.dim
     U = np.block(_coupling_blocks(t, p)).reshape(2, d, 2, d)
     return np.einsum("imkp,jnlr->ijmnklpr", U, U.conj()).reshape(4 * d * d, 4 * d * d)
@@ -219,8 +221,8 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
     factors couple states through the cutoff, so compressing them
     individually would discard through-edge paths of the product.
     """
-    if not (t >= 0):
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     if pad < 0:
         raise DomainError(f"pad must be >= 0, got {pad}")
     (G1, _), (G2, _), dp = _sparse_pair_generators(p, pad)
@@ -237,15 +239,19 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
-def _apply_comm_factors(V: np.ndarray, t: float, p: ModelParams, pad: int) -> np.ndarray:
-    """Apply F1 @ F2 = e^{(t^2/2)[X,Y]} to the four padded stacked components,
-    shape (4, q), via _taylor_action (a forward sum, stopped at a rigorous tail
-    bound, capped at the a-priori degree) of the cached sparse pair generators
-    (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3)).  Each (2q, 2)
-    column pair is one reshape/transpose copy; returns (4, q)."""
-    (G1, norm1), (G2, norm2), _ = _sparse_pair_generators(p, pad)
+def commutator_step(rho: BlockDensity, t: float, p: ModelParams, pad: int) -> BlockDensity:
+    """F1 @ F2 rho = e^{(t^2/2)[X,Y]} rho, unchecked and unguarded: the one
+    Split3 factor path, for propagate and for callers holding the Split2
+    state.  The blocks, padded to dim+pad, form one (4, q) array whose (2q, 2)
+    column pairs (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3)) go
+    through _taylor_action of the cached sparse pair generators, one
+    reshape/transpose copy each; the result is compressed back to dim."""
+    (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, pad)
+    d, q = p.dim, dp * dp
+    V = np.zeros((4, dp, dp), dtype=complex)
+    for k, key in enumerate(BLOCK_KEYS):
+        V[k, :d, :d] = rho.block(*key)
     theta = 0.5 * t * t * p.Omega
-    q = V.shape[1]
     try:
         # columns [v0; v1] and [v2; v3]
         W = _taylor_action(G2, norm2, +1j * theta, np.ascontiguousarray(V.reshape(2, 2 * q).T))
@@ -254,7 +260,7 @@ def _apply_comm_factors(V: np.ndarray, t: float, p: ModelParams, pad: int) -> np
                            W.reshape(2, q, 2).transpose(2, 1, 0).reshape(2 * q, 2))
     except NumericalError as e:
         raise NumericalError(f"commutator-factor {e}") from None
-    return U.reshape(2, q, 2).transpose(0, 2, 1).reshape(4, q)
+    return BlockDensity(*U.reshape(2, q, 2).transpose(0, 2, 1).reshape(4, dp, dp)[:, :d, :d])
 
 
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -271,11 +277,11 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     superoperator: e^{tX} is one tau_series call on the four stacked blocks
     times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
     conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
-    applied through its diagonals; and the Split3 commutator factor acts on
-    the stacked array padded to dim+pad (_apply_comm_factors), compressed
-    afterwards.  The t-only operators of the first two factors come from
-    bounded caches keyed by (t, params) and shared by every order, so steps
-    of one h build them once.  The tests check it against the dense product
+    applied through its diagonals; and Split3 is commutator_step on that
+    Split2 state, the one factor path, which callers that hold the Split2
+    state of the same t take too.  The t-only operators of the first two
+    factors come from bounded caches keyed by (t, params) and shared by
+    every order, so steps of one h build them once.  The tests check it against the dense product
     of exp_Y, exp_commutator and the diagonal-block propagator, independent
     numerics, to ~1e-13.
     """
@@ -302,14 +308,9 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         half = _coupling_left(diagonals, blocks.reshape(2, 2, d, d))
         blocks = _dagger(_coupling_left(diagonals, _dagger(half))).reshape(4, d, d)
 
-    if order is PropagatorOrder.SPLIT3:
-        dp = d + pad
-        padded = np.zeros((4, dp, dp), dtype=complex)
-        padded[:, :d, :d] = blocks
-        padded = _apply_comm_factors(padded.reshape(4, dp * dp), t, p, pad)
-        blocks = padded.reshape(4, dp, dp)[:, :d, :d]
-
     out = BlockDensity(*blocks)
+    if order is PropagatorOrder.SPLIT3:
+        out = commutator_step(out, t, p, pad)
     warn_on_guard_occupation(out)
     return out
 

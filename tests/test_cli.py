@@ -24,9 +24,11 @@ from dampedjc import (
     StepError,
     TruncationError,
     TruncationWarning,
+    annihilation,
     coherent_state,
     convergence_study,
     emit_plotscript,
+    number,
     propagate,
     run_trajectory,
 )
@@ -151,7 +153,7 @@ def test_custom_state_file(tmp_path):
 def test_observable_row_against_known_state():
     cfg = config_from_dict({"dim": 10, "alpha": 0.5})
     rho = initial_state(cfg)
-    row = observables(rho, rho)
+    row = observables(rho, (annihilation(10), number(10)), (rho, rho.full(), None))
     assert row.trace == pytest.approx(1.0)
     assert row.p0 == pytest.approx(0.5)
     assert row.p1 == pytest.approx(0.5)
@@ -183,7 +185,7 @@ def test_oracle_trajectory_matches_dense_expm_powers():
     p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=10)
     rho0 = initial_state(config_from_dict({"dim": 10, "alpha": 0.6 - 0.3j}))
     ts = np.linspace(0.0, 2.0, 21)
-    states = oracle.oracle_trajectory(rho0, ts, p)
+    states, _ = oracle.oracle_trajectory(rho0, ts, p)
     assert len(states) == len(ts)
     U = expm(float(ts[1]) * build_generator(p))
     vec = vectorize_blocks(rho0)
@@ -234,6 +236,56 @@ def test_stepping_mode_beats_single_shot_at_long_times():
     cols, _ = run_trajectory(config_from_dict({**base, "points": 2}))
     k = cols.index("split2_tdist_oracle")
     assert rows_stepped[-1][k] < rows_single[-1][k]
+
+
+def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
+    # single-shot split3 is the commutator factor on the split2 state of the
+    # same t: every state equals propagate's bit for bit, and the guard
+    # warnings counted per method are what propagate gives, with none from an
+    # intermediate split2 state
+    seen = []
+    real = cli.observables
+    monkeypatch.setattr(cli, "observables",
+                        lambda rho, *a, **k: seen.append(rho) or real(rho, *a, **k))
+    argv = ["--dim", "10", "--tmax", "1.0", "--points", "5", "--alpha=-0.3+0.2j"]
+    counts = {"split3": [3, 2], "diagonal-only,split3": [3, 3, 2], "split2,split3": [3, 2, 2]}
+    for methods, want_counts in counts.items():
+        cfg = config_from_dict({"dim": 10, "t_max": 1.0, "points": 5, "alpha": [-0.3, 0.2],
+                                "methods": methods})
+        p, rho0 = cfg.model_params(), initial_state(cfg)
+        seen.clear()
+        run_trajectory(cfg)
+        bound = cfg.t_max * p.rate * (1 + 1e-9)
+        ts = np.linspace(0.0, cfg.t_max, cfg.points)
+        for k, rho in enumerate(seen):   # rows in t order, methods within a row
+            t, method = ts[k // len(cfg.methods)], cfg.methods[k % len(cfg.methods)]
+            want = propagate(rho0, float(t), p, method, step_bound=bound, pad=cfg.pad)
+            assert np.array_equal(rho.full(), want.full()), (methods, t, method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", TruncationWarning)
+            capsys.readouterr()
+            assert main(argv + ["--method", f"oracle-expm,{methods}"]) == 0
+        counted = [line.split(" raised ")[1].split()[0]
+                   for line in capsys.readouterr().err.splitlines() if " raised " in line]
+        assert counted == [str(n) for n in want_counts], methods
+
+
+def test_run_solves_one_eigenproblem_per_state(monkeypatch):
+    # README defaults: the oracle's vetting solves its 40 states after t = 0,
+    # whose rows take min_eig from it; the t = 0 row solves its own, and the
+    # 2 x 41 split rows one for min_eig and one for tdist_oracle each;
+    # solving the oracle rows' min_eig again would make 245
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg = RunConfig()
+    columns, rows = run_trajectory(cfg)
+    assert len(calls) == 40 + 1 + 2 * 41 * 2 == 205
+    monkeypatch.undo()
+    states, _ = oracle.oracle_trajectory(initial_state(cfg), [r[0] for r in rows],
+                                         cfg.model_params())
+    k = columns.index("oracle_expm_min_eig")
+    assert [r[k] for r in rows] == [oracle.diagnostics(s).min_eigenvalue for s in states]
 
 
 def test_closed_form_example_column_matches_split2():

@@ -203,11 +203,11 @@ def test_oracle_trajectory_starts_at_first_grid_time():
     # any non-decreasing grid; a decreasing grid is a domain error
     p = P.with_dim(16)
     rho0 = example_state(0.5, p.dim)
-    late = oracle_trajectory(rho0, np.array([1.0, 1.5, 2.0]), p)
+    late, _ = oracle_trajectory(rho0, np.array([1.0, 1.5, 2.0]), p)
     assert late[0] is rho0
     for state, t in zip(late[1:], (0.5, 1.0)):
         assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
-    uneven = oracle_trajectory(rho0, np.array([0.0, 0.1, 2.0]), p)
+    uneven, _ = oracle_trajectory(rho0, np.array([0.0, 0.1, 2.0]), p)
     for state, t in zip(uneven[1:], (0.1, 2.0)):
         assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
     with pytest.raises(DomainError):
@@ -229,7 +229,7 @@ def test_oracle_matches_independent_exponentials():
         assert np.abs(got - expm_multiply(t * G, v)).max() < 1e-13
         assert np.abs(got - expm(t * dense) @ v).max() < 1e-13
     ts = np.array([0.0, 0.125, 0.25, 0.75, 2.0])
-    states = oracle_trajectory(rho0, ts, p)
+    states, _ = oracle_trajectory(rho0, ts, p)
     want = expm_multiply(G, v, start=0.0, stop=2.0, num=17, endpoint=True)[[0, 1, 2, 6, 16]]
     for state, t, w in zip(states, ts, want):
         got = vectorize_blocks(state)

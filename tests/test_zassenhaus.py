@@ -267,15 +267,16 @@ def test_propagate_matches_matrix_path():
 
 
 def test_commutator_factor_at_theta_zero_returns_input():
-    from dampedjc.zassenhaus import _apply_comm_factors, _sparse_pair_generators, _taylor_action
+    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action, commutator_step
     d, pad = 6, 4
     p = P.with_dim(d)
     rng = np.random.default_rng(3)
-    # the four padded stacked components as one (4, q) array
+    rho = BlockDensity(*(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                         for _ in range(4)))
+    assert np.array_equal(commutator_step(rho, 0.0, p, pad).full(), rho.full())
+    # the four padded stacked components, all entries nonzero
     vec4 = np.array([rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
                      for _ in range(4)])
-    for got, want in zip(_apply_comm_factors(vec4, 0.0, p, pad), vec4):
-        assert np.array_equal(got, want)
     (G1, norm1), _, _ = _sparse_pair_generators(p, pad)
     V = np.column_stack([np.concatenate(vec4[:2]), np.concatenate(vec4[2:])])
     assert np.array_equal(_taylor_action(G1, norm1, 0.0, V), V)
@@ -443,6 +444,7 @@ def test_propagate_validation():
     propagate(example_state(0.5, 14), 1.5, p, step_bound=2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_time_is_a_domain_error():
     # rejected with a DomainError naming t before either cache of t-only
     # operators is looked up, and with no numpy warning (error::RuntimeWarning)
@@ -453,7 +455,8 @@ def test_non_finite_time_is_a_domain_error():
     before = (_tau_operators.cache_info(), _coupling_diagonals.cache_info())
     for t in (math.inf, -math.inf, math.nan):
         calls = [lambda: efg(t, p), lambda: tau_series(rho0.rho00, t, p),
-                 lambda: vacuum_solution(t, p)]
+                 lambda: vacuum_solution(t, p), lambda: exp_Y(t, p),
+                 lambda: exp_commutator(t, p)]
         calls += [lambda o=o: propagate(rho0, t, p, o, step_bound=math.inf)
                   for o in PropagatorOrder]
         for call in calls:
