@@ -45,7 +45,7 @@ from .fock import annihilation, coherent_state, number
 from .oracle import OracleConfig, OracleMethod, oracle_propagate, oracle_trajectory
 from .params import ModelParams
 from .superop import (BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity,  # noqa: F401
-                      build_generator, warn_on_guard_occupation)
+                      build_generator, step_count, warn_on_guard_occupation)
 from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
@@ -242,8 +242,8 @@ def initial_state(cfg: RunConfig) -> BlockDensity:
     if kind is InitialKind.VACUUM_EXCITED:
         vac = np.zeros((d, d), dtype=complex)
         vac[0, 0] = 0.5
-        return BlockDensity(vac, z.copy(), z.copy(), coh)
-    return BlockDensity(coh.copy(), z.copy(), z.copy(), coh)
+        return BlockDensity(vac, z, z, coh)
+    return BlockDensity(coh, z, z, coh)
 
 
 def load_state_file(path: str, dim: int) -> BlockDensity:
@@ -267,6 +267,8 @@ def load_state_file(path: str, dim: int) -> BlockDensity:
             raise ConfigError(
                 f"block {key} in {path} has shape {arr.shape}, expected "
                 f"({dim}, {dim}, 2) nested [re, im] entries")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"block {key} in {path} has non-finite entries")
         blocks.append(arr[..., 0] + 1j * arr[..., 1])
     return BlockDensity(*blocks)
 
@@ -369,7 +371,7 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
     out, cur = [rho0], rho0
     for i in range(1, len(ts)):
         seg = float(ts[i] - ts[i - 1])
-        n = max(1, int(math.ceil(seg / h_max - 1e-12)))
+        n = step_count(seg, h_max, f"{method} stepping")
         h = seg / n
         bound = max(DEFAULT_STEP_BOUND, cfg.max_step_scale * (1 + 1e-9))
         for _ in range(n):

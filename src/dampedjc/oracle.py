@@ -34,7 +34,6 @@ from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, creation, number
 from .params import ModelParams
 from .superop import (
-    BLOCK_KEYS,
     BlockDensity,
     _taylor_action,
     build_generator,  # noqa: F401 -- perfbench/tracing.py wraps this binding
@@ -44,6 +43,7 @@ from .superop import (
     lindblad_superop,
     restrict_superop,
     sparse_generator,
+    step_count,
     vectorize_blocks,
     warn_on_guard_occupation,
 )
@@ -129,32 +129,23 @@ def master_rhs(rho: BlockDensity, p: ModelParams) -> BlockDensity:
 
 
 def _rk4_evolve(rho: BlockDensity, t: float, p: ModelParams, dt: float) -> BlockDensity:
-    n = max(1, int(np.ceil(t / dt - 1e-12)))
+    n = step_count(t, dt, "oracle rk4")
     h = t / n
-    cur = rho
+    cur = rho.blocks
     for _ in range(n):
-        k1 = master_rhs(cur, p)
-        k2 = master_rhs(_axpy(cur, k1, 0.5 * h), p)
-        k3 = master_rhs(_axpy(cur, k2, 0.5 * h), p)
-        k4 = master_rhs(_axpy(cur, k3, h), p)
-        cur = BlockDensity(*(
-            cur.block(i, j) + (h / 6.0) * (k1.block(i, j) + 2 * k2.block(i, j)
-                                           + 2 * k3.block(i, j) + k4.block(i, j))
-            for i, j in BLOCK_KEYS
-        ))
-    return cur
-
-
-def _axpy(base: BlockDensity, delta: BlockDensity, c: float) -> BlockDensity:
-    return BlockDensity(*(base.block(i, j) + c * delta.block(i, j)
-                          for i, j in BLOCK_KEYS))
+        k1 = master_rhs(BlockDensity(*cur), p).blocks
+        k2 = master_rhs(BlockDensity(*(cur + 0.5 * h * k1)), p).blocks
+        k3 = master_rhs(BlockDensity(*(cur + 0.5 * h * k2)), p).blocks
+        k4 = master_rhs(BlockDensity(*(cur + h * k3)), p).blocks
+        cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return BlockDensity(*cur)
 
 
 def _vet(rho: BlockDensity, trace0: complex) -> float:
     """NumericalError if rho is not finite; StepError unless its trace drift
     from trace0, hermiticity defect and negativity stay below ORACLE_TOL.
     Returns the smallest eigenvalue of the hermitized rho, from this check."""
-    if not np.all(np.isfinite(vectorize_blocks(rho))):
+    if not np.isfinite(rho.blocks).all():
         raise NumericalError("oracle integration produced non-finite entries")
     rep = diagnostics(rho)
     drift = abs(rho.trace() - trace0)

@@ -5,9 +5,11 @@ A block density operator
     rho = [[rho00, rho01],
            [rho10, rho11]]
 
-is flattened to a vector (rho00^, rho01^, rho10^, rho11^) of length 4*dim^2,
-each block row-major, so that left/right multiplication becomes a Kronecker
-product:  vec(E X F) = (E kron F^T) vec(X).
+is held by BlockDensity as one stacked (4, dim, dim) array `blocks` in the
+order (rho00, rho01, rho10, rho11), which vectorize_blocks flattens to a
+vector (rho00^, rho01^, rho10^, rho11^) of length 4*dim^2, each block
+row-major, so that left/right multiplication becomes a Kronecker product:
+vec(E X F) = (E kron F^T) vec(X).
 
 The master equation in this representation reads d rho^/dt = (X + Y) rho^,
 with X block-diagonal (built from the su(1,1) ladder superoperators K+, K-,
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,41 +78,32 @@ def sandwich_superop(E: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.kron(E, F.T)
 
 
-@dataclass
 class BlockDensity:
-    """2x2 block density operator over the two atomic levels."""
+    """2x2 block density operator over the two atomic levels, held as one
+    stacked (4, dim, dim) complex array `blocks` in the order (rho00, rho01,
+    rho10, rho11).  The constructor stacks (copies) its four blocks, so a
+    state owns its data; rho00 ... rho11 are views of `blocks`, set once."""
 
-    rho00: np.ndarray
-    rho01: np.ndarray
-    rho10: np.ndarray
-    rho11: np.ndarray
-
-    def __post_init__(self):
-        blocks = [np.asarray(b, dtype=complex) for b in
-                  (self.rho00, self.rho01, self.rho10, self.rho11)]
+    def __init__(self, rho00, rho01, rho10, rho11):
+        blocks = [np.asarray(b, dtype=complex) for b in (rho00, rho01, rho10, rho11)]
         d = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape != (d, d):
-                raise ShapeError(
-                    f"all blocks must be {d}x{d}, got shapes "
-                    f"{[x.shape for x in blocks]}"
-                )
-        self.rho00, self.rho01, self.rho10, self.rho11 = blocks
+        if any(b.shape != (d, d) for b in blocks):
+            raise ShapeError(f"all blocks must be {d}x{d}, got shapes "
+                             f"{[b.shape for b in blocks]}")
+        self.blocks = np.stack(blocks)
+        self.rho00, self.rho01, self.rho10, self.rho11 = self.blocks
 
     @property
     def dim(self) -> int:
-        return self.rho00.shape[0]
+        return self.blocks.shape[1]
 
     def block(self, i: int, j: int) -> np.ndarray:
         return getattr(self, f"rho{i}{j}")
 
     def full(self) -> np.ndarray:
-        """Assemble the 2*dim x 2*dim matrix, block by block into its slices."""
+        """The 2*dim x 2*dim matrix [[rho00, rho01], [rho10, rho11]]."""
         d = self.dim
-        out = np.empty((2 * d, 2 * d), dtype=complex)
-        out[:d, :d], out[:d, d:], out[d:, :d], out[d:, d:] = (
-            self.rho00, self.rho01, self.rho10, self.rho11)
-        return out
+        return self.blocks.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
 
     @classmethod
     def from_full(cls, M: np.ndarray) -> "BlockDensity":
@@ -123,15 +115,13 @@ class BlockDensity:
 
     @classmethod
     def zero(cls, dim: int) -> "BlockDensity":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(z.copy(), z.copy(), z.copy(), z.copy())
+        return cls(*np.zeros((4, dim, dim), dtype=complex))
 
     def trace(self) -> complex:
         return np.trace(self.rho00) + np.trace(self.rho11)
 
     def copy(self) -> "BlockDensity":
-        return BlockDensity(self.rho00.copy(), self.rho01.copy(),
-                            self.rho10.copy(), self.rho11.copy())
+        return BlockDensity(*self.blocks)
 
 
 GUARD_LEVELS = 3
@@ -164,16 +154,15 @@ def warn_on_guard_occupation(rho: BlockDensity) -> None:
 
 
 def vectorize_blocks(rho: BlockDensity) -> np.ndarray:
-    """Stack (rho00^, rho01^, rho10^, rho11^) into one 4*dim^2 vector."""
-    return np.concatenate([rho.block(i, j).ravel() for i, j in BLOCK_KEYS])
+    """rho.blocks flattened, a copy: (rho00^, rho01^, rho10^, rho11^), 4*dim^2."""
+    return rho.blocks.flatten()
 
 
 def devectorize_blocks(v: np.ndarray, dim: int) -> BlockDensity:
     v = np.asarray(v, dtype=complex).ravel()
     if 4 * dim * dim != v.size:
         raise ShapeError(f"length {v.size} is not 4*dim^2 for dim={dim}")
-    q = dim * dim
-    return BlockDensity(*(v[k * q:(k + 1) * q].reshape(dim, dim) for k in range(4)))
+    return BlockDensity(*v.reshape(4, dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +306,17 @@ def build_generator(p: ModelParams) -> np.ndarray:
 # Sci. Comput. 33, 488 (2011)).
 TAYLOR_SUBSTEP_NORM = 8.0
 TAYLOR_MAX_SUBSTEPS = 100_000   # a longer schedule is refused before any product
+
+
+def step_count(span: float, h_max: float, what: str) -> int:
+    """The fewest steps of at most h_max (up to 1e-12 of one) that cover span,
+    at least one.  A fixed-step schedule of more than TAYLOR_MAX_SUBSTEPS is
+    refused like the Taylor action's: NumericalError, before any step."""
+    n = max(1.0, np.ceil(span / h_max - 1e-12))
+    if n > TAYLOR_MAX_SUBSTEPS:
+        raise NumericalError(f"{what} needs {n:.3g} steps of at most {h_max:.3g}, "
+                             f"more than the {TAYLOR_MAX_SUBSTEPS} allowed")
+    return int(n)
 
 
 def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:

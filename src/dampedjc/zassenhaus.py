@@ -52,7 +52,6 @@ from .fock import (annihilation, coherent_state, cos_sqrt, cos_sqrt_values, crea
                    sinc_sqrt, sinc_sqrt_values)
 from .params import ModelParams
 from .superop import (
-    BLOCK_KEYS,
     BlockDensity,
     _sparse_sides,
     _taylor_action,
@@ -249,8 +248,7 @@ def commutator_step(rho: BlockDensity, t: float, p: ModelParams, pad: int) -> Bl
     (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, pad)
     d, q = p.dim, dp * dp
     V = np.zeros((4, dp, dp), dtype=complex)
-    for k, key in enumerate(BLOCK_KEYS):
-        V[k, :d, :d] = rho.block(*key)
+    V[:, :d, :d] = rho.blocks
     theta = 0.5 * t * t * p.Omega
     try:
         # columns [v0; v1] and [v2; v3]
@@ -298,9 +296,8 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
             f"{t * p.rate:.3g} > {step_bound:.3g}; compose shorter steps")
 
     d = p.dim
-    stacked = np.stack([rho0.block(*key) for key in BLOCK_KEYS])
     phases = np.exp(1j * np.array(block_phases(p)) * t)
-    blocks = phases[:, None, None] * tau_series(stacked, t, p)
+    blocks = phases[:, None, None] * tau_series(rho0.blocks, t, p)
 
     if order is not PropagatorOrder.DIAGONAL_ONLY:
         # U rho U+ = (U (U rho)+)+, U applied through its diagonals
@@ -339,7 +336,7 @@ def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:
         z = np.zeros((d, d), dtype=complex)
         vac = np.zeros((d, d), dtype=complex)
         vac[0, 0] = 0.5
-        return BlockDensity(vac, z.copy(), z.copy(), 0.5 * np.outer(ket, ket.conj()))
+        return BlockDensity(vac, z, z, 0.5 * np.outer(ket, ket.conj()))
 
     A = vacuum_solution(t, p)
     B = coherent_solution(alpha, t, p)

@@ -144,6 +144,13 @@ def test_custom_state_file(tmp_path):
     bad.write_text(json.dumps({"dim": d, "blocks": {"rho00": [[0.0]]}}))
     with pytest.raises(ConfigError):
         load_state_file(str(bad), d)
+    # a JSON NaN or Infinity entry is a config error naming its block, not a
+    # numerical failure of the first propagation
+    for value in (float("nan"), float("inf")):
+        blocks["rho10"][2][1][1] = value
+        bad.write_text(json.dumps({"dim": d, "blocks": blocks}))
+        with pytest.raises(ConfigError, match="block rho10 .* non-finite"):
+            load_state_file(str(bad), d)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +389,23 @@ def test_main_refuses_oracle_time_over_substep_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "oracle" in err and "1e+07" in err and "substeps" in err
+
+
+def test_main_refuses_stepping_schedule_over_budget(tmp_path, capsys, monkeypatch):
+    # max_step_scale = 1e-300 asks for 5e299 steps per grid interval, a loop
+    # that never ended: refused against TAYLOR_MAX_SUBSTEPS before the first
+    # step, with exit 4 and one `error:` line
+    steps = []
+    monkeypatch.setattr(cli, "propagate", lambda *args, **kw: steps.append(args))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"step_mode": "stepping", "max_step_scale": 1e-300}))
+    assert main(["--config", str(config), "--dim", "10", "--alpha", "0", "--tmax", "1",
+                 "--points", "3", "--method", "split2",
+                 "--out", str(tmp_path / "x.csv")]) == 4
+    assert steps == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "split2 stepping needs 5e+299 steps" in err and "100000 allowed" in err
 
 
 def test_main_json_format(tmp_path):

@@ -26,9 +26,10 @@ from dampedjc import (
     vacuum_solution,
     vectorize_blocks,
 )
+from dampedjc import oracle
 from dampedjc.oracle import oracle_trajectory
 from dampedjc.superop import (TAYLOR_MAX_SUBSTEPS, TAYLOR_SUBSTEP_NORM, _taylor_action,
-                              sparse_generator)
+                              sparse_generator, step_count)
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -178,6 +179,22 @@ def test_oracle_refuses_substeps_over_budget():
         with pytest.raises(NumericalError, match=rf"t = 1e\+07: .*\b{substeps} substeps"):
             run()
     assert time.process_time() - start < 1.0
+
+
+def test_rk4_refuses_steps_over_budget(monkeypatch):
+    # dt = 1e-300 asks for 5e299 RK4 steps, a loop that never ended: refused
+    # against TAYLOR_MAX_SUBSTEPS, the Taylor action's budget, before any step
+    calls = []
+    monkeypatch.setattr(oracle, "master_rhs", lambda *args: calls.append(args))
+    cfg = OracleConfig(method=OracleMethod.RK4, dt=1e-300)
+    with pytest.raises(NumericalError, match=r"oracle rk4 needs 5e\+299 steps .* "
+                                             rf"{TAYLOR_MAX_SUBSTEPS} allowed"):
+        oracle_propagate(example_state(0.5, P.dim), 0.5, P, cfg)
+    assert calls == []
+    # the budget itself is a schedule that runs
+    assert step_count(1.0, 1.0 / TAYLOR_MAX_SUBSTEPS, "x") == TAYLOR_MAX_SUBSTEPS
+    with pytest.raises(NumericalError):
+        step_count(1.0, 1.0 / (TAYLOR_MAX_SUBSTEPS + 1), "x")
 
 
 def test_taylor_action_budget_is_checked_before_any_product():

@@ -69,6 +69,18 @@ def test_block_density_accessors():
     assert rho.trace() == pytest.approx(np.trace(full))
     with pytest.raises(ShapeError):
         BlockDensity(blocks[0], blocks[1], blocks[2], random_matrix(rng, 3))
+    # a state owns one stacked (4, d, d) array; rho00 ... rho11 are its views
+    assert rho.blocks.shape == (4, 4, 4)
+    blocks[2][1, 2] = 9.0
+    assert rho.rho10[1, 2] != 9.0
+    rho.rho10[1, 2] = 5 + 6j
+    assert rho.blocks[2, 1, 2] == 5 + 6j
+    assert rho.full()[4 + 1, 2] == 5 + 6j
+    assert vectorize_blocks(rho)[2 * 16 + 1 * 4 + 2] == 5 + 6j
+    # from_full copies its input: a later write to M leaves the state as it was
+    want = back.full()
+    full[:] = 0
+    assert np.array_equal(back.full(), want)
 
 
 def test_block_vectorization_layout():
@@ -80,6 +92,8 @@ def test_block_vectorization_layout():
     for k in range(4):
         assert np.all(v[k * q:(k + 1) * q] == k)
     back = devectorize_blocks(v, d)
+    assert np.all(back.rho10 == 2)
+    v[:] = -1   # devectorize_blocks copies: the state does not see later writes
     assert np.all(back.rho10 == 2)
     with pytest.raises(ShapeError):
         devectorize_blocks(np.zeros(10), 2)
