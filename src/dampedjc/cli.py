@@ -29,8 +29,8 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-# expm and build_generator are not called here any more; perfbench/tracing.py
-# wraps these module-level names, so they stay bound in this module.
+# This module calls none of expm, build_generator and oracle_propagate, but
+# perfbench/tracing.py wraps these module-level names, so they stay bound.
 from scipy.linalg import expm  # noqa: F401
 
 from .errors import (
@@ -42,14 +42,14 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import annihilation, coherent_state, number
-from .oracle import OracleConfig, OracleMethod, oracle_propagate, oracle_trajectory
+from .oracle import OracleConfig, OracleMethod, oracle_trajectory
+from .oracle import oracle_propagate  # noqa: F401
 from .params import ModelParams
 from .superop import (BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity,  # noqa: F401
                       build_generator, step_count, warn_on_guard_occupation)
 from .zassenhaus import (
     DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
-    PropagatorOrder,
     commutator_step,
     example_solution,
     propagate,
@@ -137,8 +137,10 @@ class RunConfig:
             raise ConfigError(f"rk4_dt must be positive, got {self.rk4_dt!r}")
         if not (isinstance(self.pad, int) and self.pad >= 0):
             raise ConfigError(f"pad must be a non-negative integer, got {self.pad!r}")
+        if not self.methods:
+            raise ConfigError(f"at least one method is needed; choose from {list(ALL_METHODS)}")
         bad = [m for m in self.methods if m not in ALL_METHODS]
-        if bad or not self.methods:
+        if bad:
             raise ConfigError(f"unknown methods {bad!r}; choose from {list(ALL_METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {list(self.methods)!r}")
@@ -146,6 +148,10 @@ class RunConfig:
             raise ConfigError(
                 f"{CLOSED_FORM} is only defined for the {InitialKind.VACUUM_EXCITED.value} "
                 f"initial state")
+        for key in ("out", "initial_path"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ConfigError(f"{key} must be a path string or null, "
+                                  f"got {getattr(self, key)!r}")
         if self.initial == InitialKind.CUSTOM_FILE.value and not self.initial_path:
             raise ConfigError("initial=custom-file requires initial_path")
 
@@ -171,11 +177,16 @@ _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, f
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON), rejecting
-    unknown keys.  alpha may be a number, a string like "0.9+0.3j", or a
-    [re, im] pair; methods may be a list or a comma-separated string."""
+    unknown keys and booleans, which no key takes (not even inside a list).
+    alpha may be a number, a string like "0.9+0.3j", or a [re, im] pair;
+    methods may be a list or a comma-separated string."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_KEYS)}")
+    bools = sorted(k for k, v in data.items()
+                   if any(isinstance(x, bool) for x in (v if isinstance(v, list) else [v])))
+    if bools:
+        raise ConfigError(f"config keys {bools} must not be booleans")
     clean = dict(data)
     if "alpha" in clean:
         clean["alpha"] = _parse_complex(clean["alpha"])
@@ -212,7 +223,7 @@ def _parse_methods(v) -> tuple:
         v = [v]
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"methods must be a list or comma-separated string, got {v!r}")
-    return tuple(m.strip() for chunk in v for m in str(chunk).split(",") if m)
+    return tuple(m.strip() for chunk in v for m in str(chunk).split(",") if m.strip())
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -333,12 +344,17 @@ def _count_truncation_warnings(method: str):
                       TruncationWarning, stacklevel=3)
 
 
-def _split3_after_split2(split2: list, ts, p: ModelParams, pad: int) -> list:
-    """Split3 at ts from split2's states there: the commutator factor, guarded."""
-    out = [commutator_step(rho, float(t), p, pad) for rho, t in zip(split2, ts)]
-    for rho in out:
-        warn_on_guard_occupation(rho)
-    return out
+def _single_shot(method: str, rho0: BlockDensity, ts, p: ModelParams, pad: int,
+                 done: dict) -> list:
+    """The split method's propagator applied once to rho0 at each time in ts,
+    with no step bound.  Split3 is the commutator factor, guarded, on split2's
+    states when done (the methods run so far) holds them."""
+    if method == "split3" and "split2" in done:
+        out = [commutator_step(rho, float(t), p, pad) for rho, t in zip(done["split2"], ts)]
+        for rho in out:
+            warn_on_guard_occupation(rho)
+        return out
+    return [propagate(rho0, float(t), p, method, step_bound=math.inf, pad=pad) for t in ts]
 
 
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
@@ -347,35 +363,21 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
     if method in done:
         return done[method]
     if method == ORACLE_RK4:
-        ocfg = OracleConfig(method=OracleMethod.RK4, dt=cfg.rk4_dt)
-        out, cur = [rho0], rho0
-        for i in range(1, len(ts)):
-            cur = oracle_propagate(cur, float(ts[i] - ts[i - 1]), p, ocfg)
-            out.append(cur)
-        return out
+        return oracle_trajectory(rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))[0]
     if method == CLOSED_FORM:
         return [example_solution(cfg.alpha, float(t), p) for t in ts]
-
-    order = PropagatorOrder(method)
     if cfg.step_mode == "single-shot":
-        # Evaluate the factored propagator directly at each grid time.  The
-        # error grows with t * rate, so lift the single-step guard to the
-        # largest grid time; this is the mode the closed forms describe.
-        bound = max(DEFAULT_STEP_BOUND, cfg.t_max * p.rate * (1 + 1e-9))
-        if order is PropagatorOrder.SPLIT3 and "split2" in done:
-            return _split3_after_split2(done["split2"], ts, p, cfg.pad)
-        return [propagate(rho0, float(t), p, order, step_bound=bound, pad=cfg.pad)
-                for t in ts]
+        # The factored propagator at each grid time, the mode the closed forms
+        # describe.  Its error grows with t * rate; _note_raised_bound says so.
+        return _single_shot(method, rho0, ts, p, cfg.pad, done)
     # stepping: compose short steps between grid points
     h_max = cfg.max_step_scale / p.rate
     out, cur = [rho0], rho0
     for i in range(1, len(ts)):
         seg = float(ts[i] - ts[i - 1])
         n = step_count(seg, h_max, f"{method} stepping")
-        h = seg / n
-        bound = max(DEFAULT_STEP_BOUND, cfg.max_step_scale * (1 + 1e-9))
         for _ in range(n):
-            cur = propagate(cur, h, p, order, step_bound=bound, pad=cfg.pad)
+            cur = propagate(cur, seg / n, p, method, step_bound=math.inf, pad=cfg.pad)
         out.append(cur)
     return out
 
@@ -446,17 +448,15 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
             or abs(ratios[0] - 1.0) < 1e-9:
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
-    bound = max(DEFAULT_STEP_BOUND, max(h) * p.rate * (1 + 1e-9))
     with _count_truncation_warnings(ORACLE_EXPM):
         states, _ = oracle_trajectory(rho0, [0.0, *sorted(h)], p)
     exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
-    with _count_truncation_warnings("split2"):
-        split2 = [propagate(rho0, step, p, PropagatorOrder.SPLIT2, step_bound=bound, pad=pad)
-                  for step in h]
-    with _count_truncation_warnings("split3"):
-        split3 = _split3_after_split2(split2, h, p, pad)
+    done = {}
+    for name in ("split2", "split3"):
+        with _count_truncation_warnings(name):
+            done[name] = _single_shot(name, rho0, h, p, pad, done)
     errors = {name: tuple(trace_distance(rho.full(), exact[step]) for rho, step in zip(got, h))
-              for name, got in (("split2", split2), ("split3", split3))}
+              for name, got in done.items()}
     slopes = {name: None if max(errs) < 1e-12 else
               float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(errs)), 1)[0])
               for name, errs in errors.items()}

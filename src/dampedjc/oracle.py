@@ -11,8 +11,10 @@ Two deliberately independent routes to the same flow:
   side written directly in d x d block algebra (never touching the
   superoperator code path).
 
-`oracle_trajectory` runs the DENSE_EXPM route over a non-decreasing time
-grid, one action per interval; the CLI measures every method against it.
+`oracle_trajectory` runs either route over a non-decreasing time grid, one
+integration per interval, each state vetted against the initial trace;
+`oracle_propagate` is its [0, t] case.  The CLI measures every method
+against the DENSE_EXPM grid, and its oracle-rk4 column is the RK4 grid.
 
 Agreement between the two, and between them and the factored propagators,
 is the backbone of the test suite.  The module also provides a dense
@@ -158,61 +160,46 @@ def _vet(rho: BlockDensity, trace0: complex) -> float:
     return rep.min_eigenvalue
 
 
-def _sweep(rho0: BlockDensity, ts, p: ModelParams):
-    """Yield the vectorized states at ts[1:], rho0 at ts[0]: one action of
-    sparse_generator(p), with its exact 1-norm, per grid interval.  An
-    action's NumericalError names the oracle and the time it steps to."""
-    if rho0.dim != p.dim:
-        raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
-    G = sparse_generator(p)
-    norm = float(abs(G).sum(axis=0).max())
-    v = vectorize_blocks(rho0)
-    for h, t in zip(np.diff(ts), ts[1:]):
-        try:
-            v = _taylor_action(G, norm, float(h), v)
-        except NumericalError as e:
-            raise NumericalError(f"oracle cannot step to t = {t:g}: {e}") from None
-        yield v
-
-
 def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
                      cfg: OracleConfig | None = None) -> BlockDensity:
-    """Evolve rho0 for time t by brute force.
-
-    After integrating, the result is vetted: hermiticity defect,
-    negative-eigenvalue excursion and trace drift relative to the input
-    must all stay below ORACLE_TOL, else StepError.  Heavy occupation
-    of the top Fock levels only warns (TruncationWarning) -- it signals an
-    undersized basis, not an integrator failure.
-    """
-    if cfg is None:
-        cfg = OracleConfig()
+    """Evolve rho0 for time t by brute force: oracle_trajectory on [0, t]."""
     if not (t >= 0 and np.isfinite(t)):
         raise DomainError(f"t must be finite and >= 0, got {t}")
-
-    if cfg.method is OracleMethod.DENSE_EXPM:
-        out = devectorize_blocks(next(_sweep(rho0, [0.0, t], p)), p.dim)
-    elif cfg.method is OracleMethod.RK4:
-        out = _rk4_evolve(rho0, t, p, cfg.dt)
-    else:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown oracle method {cfg.method!r}")
-
-    _vet(out, rho0.trace())
-    warn_on_guard_occupation(out)
-    return out
+    return oracle_trajectory(rho0, [0.0, t], p, cfg)[0][1]
 
 
-def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams) -> tuple:
-    """Exact states on any non-decreasing grid ts, rho0 at ts[0], from one
-    generator build, as (states, min_eigs).  rho0 is returned as given, with
-    min_eig None; each later state is vetted and guarded like an
-    oracle_propagate result, and its min_eig is the one its vetting solved."""
+def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams,
+                      cfg: OracleConfig | None = None) -> tuple:
+    """Brute-force states on any non-decreasing grid ts, rho0 at ts[0], as
+    (states, min_eigs): one integration by cfg.method (default DENSE_EXPM)
+    per interval, from the previous state.  DENSE_EXPM builds the sparse
+    generator and its exact 1-norm once; an action's NumericalError names
+    the oracle and the time it steps to.  rho0 is returned as given, with
+    min_eig None.  Each later state is vetted against rho0's trace: its
+    trace drift, hermiticity defect and negativity must stay below
+    ORACLE_TOL, else StepError, and its min_eig is the one that check
+    solved.  Heavy occupation of the top Fock levels only warns
+    (TruncationWarning): it signals an undersized basis, not an integrator
+    failure."""
+    cfg = cfg or OracleConfig()
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
         raise DomainError(f"oracle grid times must be finite and non-decreasing, got {ts}")
+    if rho0.dim != p.dim:
+        raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
+    if cfg.method is OracleMethod.DENSE_EXPM:
+        G = sparse_generator(p)
+        norm = float(abs(G).sum(axis=0).max())
     states, min_eigs = [rho0], [None]
-    for v in _sweep(rho0, ts, p):
-        states.append(devectorize_blocks(v, p.dim))
+    for h, t in zip(np.diff(ts), ts[1:]):
+        if cfg.method is OracleMethod.RK4:
+            states.append(_rk4_evolve(states[-1], float(h), p, cfg.dt))
+        else:
+            try:
+                v = _taylor_action(G, norm, float(h), vectorize_blocks(states[-1]))
+            except NumericalError as e:
+                raise NumericalError(f"oracle cannot step to t = {t:g}: {e}") from None
+            states.append(devectorize_blocks(v, p.dim))
         min_eigs.append(_vet(states[-1], rho0.trace()))
         warn_on_guard_occupation(states[-1])
     return states, min_eigs

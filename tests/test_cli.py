@@ -19,6 +19,8 @@ from dampedjc import (
     DomainError,
     ModelParams,
     NumericalError,
+    OracleConfig,
+    OracleMethod,
     PropagatorOrder,
     RunConfig,
     StepError,
@@ -84,6 +86,7 @@ def test_config_from_dict_forms():
     assert cfg.points == 5
     assert config_from_dict({"alpha": [1.0, -0.5]}).alpha == 1.0 - 0.5j
     assert config_from_dict({"alpha": 0.7}).alpha == 0.7 + 0j
+    assert config_from_dict({"methods": "split2, "}).methods == ("split2",)
 
 
 def test_config_rejects_garbage():
@@ -108,6 +111,16 @@ def test_config_rejects_garbage():
         # the closed-form column is tied to the two-component initial state
         config_from_dict({"methods": ["closed-form-example"],
                           "initial": "coherent-diagonal"})
+    # values of the wrong JSON type: a number is not a path (open() took it
+    # for a file descriptor), and a boolean is not a number
+    for data in ({"out": 1}, {"out": 7}, {"initial": "custom-file", "initial_path": 3},
+                 {"pad": True}, {"alpha": True}, {"t_max": True}, {"dim": True},
+                 {"alpha": [True, 0]}):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+    for methods in ([], "", ",", [" "], ", "):
+        with pytest.raises(ConfigError, match="at least one method is needed"):
+            config_from_dict({"methods": methods})
 
 
 def test_initial_states():
@@ -214,6 +227,21 @@ def test_oracle_trajectory_builds_no_dense_generator():
     assert peak < 64 * 2**20
 
 
+def test_oracle_rk4_column_is_the_rk4_trajectory():
+    # the oracle-rk4 column holds the observables of the RK4 oracle grid,
+    # measured against the DENSE_EXPM grid like every other column
+    cfg = config_from_dict({"dim": 8, "t_max": 1.0, "points": 5, "alpha": 0.3,
+                            "rk4_dt": 0.05, "methods": ["oracle-rk4"]})
+    p, rho0 = cfg.model_params(), initial_state(cfg)
+    ts = np.linspace(0.0, cfg.t_max, cfg.points)
+    rk4, _ = oracle.oracle_trajectory(rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))
+    exact, min_eigs = oracle.oracle_trajectory(rho0, ts, p)
+    _, rows = run_trajectory(cfg)
+    ops = (annihilation(p.dim), number(p.dim))
+    for row, state, ref, min_eig in zip(rows, rk4, exact, min_eigs):
+        assert row[1:] == list(observables(state, ops, (ref, ref.full(), min_eig)).values())
+
+
 def test_split2_tracks_oracle_closely():
     # trace distance to the oracle stays small but visible at moderate times
     cfg = config_from_dict({"dim": 14, "points": 5, "t_max": 2.0, "alpha": 0.7,
@@ -262,11 +290,10 @@ def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
         p, rho0 = cfg.model_params(), initial_state(cfg)
         seen.clear()
         run_trajectory(cfg)
-        bound = cfg.t_max * p.rate * (1 + 1e-9)
         ts = np.linspace(0.0, cfg.t_max, cfg.points)
         for k, rho in enumerate(seen):   # rows in t order, methods within a row
             t, method = ts[k // len(cfg.methods)], cfg.methods[k % len(cfg.methods)]
-            want = propagate(rho0, float(t), p, method, step_bound=bound, pad=cfg.pad)
+            want = propagate(rho0, float(t), p, method, step_bound=np.inf, pad=cfg.pad)
             assert np.array_equal(rho.full(), want.full()), (methods, t, method)
         with warnings.catch_warnings():
             warnings.simplefilter("always", TruncationWarning)
@@ -458,6 +485,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--bogus"]) == 2
     assert main(["--dim", "x"]) == 2
     assert main(["--alpha", "nan", "--dim", "8", "--out", str(out)]) == 2
+    # config values of the wrong JSON type are one error line, before any work
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "initial_state", lambda *a: pytest.fail("work started"))
+        for data in ({"out": 1}, {"out": 7}, {"initial": "custom-file", "initial_path": 3},
+                     {"pad": True}, {"alpha": True}, {"t_max": True}):
+            bad.write_text(json.dumps(data))
+            assert main(["--config", str(bad)]) == 2, data
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), data
+            assert captured.err.count("\n") == 1, data
+        assert main(["--method", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: at least one method is needed")
     # closed form at a t > 0 so tiny that G underflows to 0
     assert main(["--dim", "8", "--tmax", "5e-324", "--points", "2",
                  "--method", "closed-form-example", "--alpha", "0.1",
@@ -570,6 +610,19 @@ def test_main_convergence_study(tmp_path):
     assert len(slopes) == 2
     # study without h list is a usage error
     assert main(["--study", "convergence", "--out", str(out)]) == 2
+
+
+def test_convergence_study_counts_truncation_warnings_per_method(capsys):
+    # one counted line per method; split3 is guarded on its own states only,
+    # not again on the split2 states it is built from
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", TruncationWarning)
+        assert main(["--study", "convergence", "--h-list", "0.16,0.08,0.04",
+                     "--dim", "8", "--alpha", "0.3"]) == 0
+    counted = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()
+               if " raised " in line]
+    assert counted == [f"{m} raised 3 truncation warnings"
+                       for m in ("oracle-expm", "split2", "split3")]
 
 
 def test_emit_plotscript(tmp_path):

@@ -216,19 +216,26 @@ def test_taylor_action_budget_is_checked_before_any_product():
 
 
 def test_oracle_trajectory_starts_at_first_grid_time():
-    # rho0 sits at ts[0] and each state is the flow over ts[i] - ts[0], on
-    # any non-decreasing grid; a decreasing grid is a domain error
+    # for either method, rho0 sits at ts[0] and each state is the flow over
+    # ts[i] - ts[0], on any non-decreasing grid, bit for bit the chain of one
+    # oracle_propagate per interval; a decreasing grid is a domain error
     p = P.with_dim(16)
     rho0 = example_state(0.5, p.dim)
-    late, _ = oracle_trajectory(rho0, np.array([1.0, 1.5, 2.0]), p)
-    assert late[0] is rho0
-    for state, t in zip(late[1:], (0.5, 1.0)):
-        assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
-    uneven, _ = oracle_trajectory(rho0, np.array([0.0, 0.1, 2.0]), p)
-    for state, t in zip(uneven[1:], (0.1, 2.0)):
-        assert np.abs(state.full() - oracle_propagate(rho0, t, p).full()).max() < 1e-13
-    with pytest.raises(DomainError):
-        oracle_trajectory(rho0, np.array([0.0, 2.0, 1.0]), p)
+    for cfg in (OracleConfig(), OracleConfig(OracleMethod.RK4, dt=0.05)):
+        late, _ = oracle_trajectory(rho0, np.array([1.0, 1.5, 2.0]), p, cfg)
+        assert late[0] is rho0
+        for state, t in zip(late[1:], (0.5, 1.0)):
+            assert np.abs(state.full() - oracle_propagate(rho0, t, p, cfg).full()).max() < 1e-13
+        ts = np.array([0.0, 0.1, 0.1, 2.0])
+        uneven, _ = oracle_trajectory(rho0, ts, p, cfg)
+        for state, t in zip(uneven[1:], ts[1:]):
+            assert np.abs(state.full() - oracle_propagate(rho0, t, p, cfg).full()).max() < 1e-13
+        chain = [rho0]
+        for h in np.diff(ts):
+            chain.append(oracle_propagate(chain[-1], float(h), p, cfg))
+        assert all(np.array_equal(a.blocks, b.blocks) for a, b in zip(uneven, chain)), cfg
+        with pytest.raises(DomainError):
+            oracle_trajectory(rho0, np.array([0.0, 2.0, 1.0]), p, cfg)
 
 
 @pytest.mark.filterwarnings("ignore::dampedjc.errors.TruncationWarning")
