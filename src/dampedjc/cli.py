@@ -48,8 +48,8 @@ from .params import ModelParams
 from .superop import (BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity,  # noqa: F401
                       build_generator, step_count, warn_on_guard_occupation)
 from .zassenhaus import (
-    DEFAULT_PAD,
     DEFAULT_STEP_BOUND,
+    PropagatorOrder,
     commutator_step,
     example_solution,
     propagate,
@@ -60,9 +60,12 @@ MIN_EIG_TOL = 1e-10   # min_eig below -MIN_EIG_TOL draws a warning
 
 ORACLE_EXPM = "oracle-expm"
 ORACLE_RK4 = "oracle-rk4"
-SPLIT_METHODS = ("diagonal-only", "split2", "split3")
+SPLIT2, SPLIT3 = PropagatorOrder.SPLIT2.value, PropagatorOrder.SPLIT3.value
+SPLIT_METHODS = tuple(order.value for order in PropagatorOrder)
 CLOSED_FORM = "closed-form-example"
 ALL_METHODS = (ORACLE_EXPM, ORACLE_RK4) + SPLIT_METHODS + (CLOSED_FORM,)
+SINGLE_SHOT, STEPPING = STEP_MODES = ("single-shot", "stepping")
+CSV, JSON = FORMATS = ("csv", "json")
 
 # exit code of a package error; any other DampedJCError exits 2
 EXIT_CODES = {TruncationError: 3, NumericalError: 4, StepError: 4}
@@ -102,22 +105,21 @@ class RunConfig:
     dim: int = 24
     t_max: float = 2.0
     points: int = 41
-    methods: tuple = (ORACLE_EXPM, "split2", "split3")
+    methods: tuple = (ORACLE_EXPM, SPLIT2, SPLIT3)
     initial: str = InitialKind.VACUUM_EXCITED.value
     alpha: complex = 1.0 + 0.0j
     initial_path: str | None = None
     out: str | None = None
-    format: str = "csv"
-    step_mode: str = "single-shot"   # or "stepping"
+    format: str = CSV
+    step_mode: str = SINGLE_SHOT
     max_step_scale: float = 0.1      # stepping mode: h <= scale / max rate
     rk4_dt: float = 1e-3
-    pad: int = DEFAULT_PAD
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.step_mode not in ("single-shot", "stepping"):
-            raise ConfigError(f"step_mode must be single-shot or stepping, "
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {self.format!r}")
+        if self.step_mode not in STEP_MODES:
+            raise ConfigError(f"step_mode must be {' or '.join(STEP_MODES)}, "
                               f"got {self.step_mode!r}")
         try:
             InitialKind(self.initial)
@@ -135,8 +137,6 @@ class RunConfig:
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if not (self.rk4_dt > 0):
             raise ConfigError(f"rk4_dt must be positive, got {self.rk4_dt!r}")
-        if not (isinstance(self.pad, int) and self.pad >= 0):
-            raise ConfigError(f"pad must be a non-negative integer, got {self.pad!r}")
         if not self.methods:
             raise ConfigError(f"at least one method is needed; choose from {list(ALL_METHODS)}")
         bad = [m for m in self.methods if m not in ALL_METHODS]
@@ -344,17 +344,16 @@ def _count_truncation_warnings(method: str):
                       TruncationWarning, stacklevel=3)
 
 
-def _single_shot(method: str, rho0: BlockDensity, ts, p: ModelParams, pad: int,
-                 done: dict) -> list:
+def _single_shot(method: str, rho0: BlockDensity, ts, p: ModelParams, done: dict) -> list:
     """The split method's propagator applied once to rho0 at each time in ts,
     with no step bound.  Split3 is the commutator factor, guarded, on split2's
     states when done (the methods run so far) holds them."""
-    if method == "split3" and "split2" in done:
-        out = [commutator_step(rho, float(t), p, pad) for rho, t in zip(done["split2"], ts)]
+    if method == SPLIT3 and SPLIT2 in done:
+        out = [commutator_step(rho, float(t), p) for rho, t in zip(done[SPLIT2], ts)]
         for rho in out:
             warn_on_guard_occupation(rho)
         return out
-    return [propagate(rho0, float(t), p, method, step_bound=math.inf, pad=pad) for t in ts]
+    return [propagate(rho0, float(t), p, method, step_bound=math.inf) for t in ts]
 
 
 def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
@@ -366,10 +365,10 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
         return oracle_trajectory(rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))[0]
     if method == CLOSED_FORM:
         return [example_solution(cfg.alpha, float(t), p) for t in ts]
-    if cfg.step_mode == "single-shot":
+    if cfg.step_mode == SINGLE_SHOT:
         # The factored propagator at each grid time, the mode the closed forms
         # describe.  Its error grows with t * rate; _note_raised_bound says so.
-        return _single_shot(method, rho0, ts, p, cfg.pad, done)
+        return _single_shot(method, rho0, ts, p, done)
     # stepping: compose short steps between grid points
     h_max = cfg.max_step_scale / p.rate
     out, cur = [rho0], rho0
@@ -377,7 +376,7 @@ def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
         seg = float(ts[i] - ts[i - 1])
         n = step_count(seg, h_max, f"{method} stepping")
         for _ in range(n):
-            cur = propagate(cur, seg / n, p, method, step_bound=math.inf, pad=cfg.pad)
+            cur = propagate(cur, seg / n, p, method, step_bound=math.inf)
         out.append(cur)
     return out
 
@@ -424,13 +423,13 @@ class ConvergenceResult:
     slopes: dict           # method name -> float, or None when exact
 
 
-def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
-                      pad: int = DEFAULT_PAD) -> ConvergenceResult:
+def convergence_study(rho0: BlockDensity, p: ModelParams, h_list) -> ConvergenceResult:
     """Single-step error of split2 and split3 versus step size.
 
     For each h split2 is applied once, and split3 is the commutator factor
-    on that state; each is compared (trace distance) with the exact flow
-    over the same h, from one oracle sweep over the sorted h.  The log-log
+    (on a cutoff padded by zassenhaus.DEFAULT_PAD levels) on that state;
+    each is compared (trace distance) with the exact flow over the same h,
+    from one oracle sweep over the sorted h.  The log-log
     slope estimates the local order (2 for split2, 3 for split3).  h_list
     must hold at least three positive values in geometric progression.
     When all errors sit at rounding level (< 1e-12) the slope is
@@ -452,9 +451,9 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list,
         states, _ = oracle_trajectory(rho0, [0.0, *sorted(h)], p)
     exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
     done = {}
-    for name in ("split2", "split3"):
+    for name in (SPLIT2, SPLIT3):
         with _count_truncation_warnings(name):
-            done[name] = _single_shot(name, rho0, h, p, pad, done)
+            done[name] = _single_shot(name, rho0, h, p, done)
     errors = {name: tuple(trace_distance(rho.full(), exact[step]) for rho, step in zip(got, h))
               for name, got in done.items()}
     slopes = {name: None if max(errs) < 1e-12 else
@@ -511,6 +510,9 @@ def emit_plotscript(csv_path: str, script_path: str) -> None:
     if "t" not in columns or not mean_cols:
         raise ConfigError(f"{csv_path} does not look like a trajectory table")
 
+    def quoted(text):
+        return "'" + text.replace("'", "''") + "'"   # gnuplot's escape for '
+
     def series(cols, suffix):
         return ", \\\n    ".join(
             f"csvfile using 't':'{c}' with lines title '{c[:-len(suffix)].replace('_', '-')}'"
@@ -518,11 +520,11 @@ def emit_plotscript(csv_path: str, script_path: str) -> None:
 
     lines = [
         "# gnuplot script (auto-generated); run: gnuplot <this file>",
-        f"csvfile = '{csv_path}'",
+        f"csvfile = {quoted(csv_path)}",
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set terminal pngcairo size 1100,800",
-        f"set output '{os.path.splitext(script_path)[0]}.png'",
+        f"set output {quoted(os.path.splitext(script_path)[0] + '.png')}",
         "set multiplot layout 2,1",
         "set xlabel 't'",
         "set ylabel 'mean occupation'",
@@ -573,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "propagators checked against brute-force integration.")
     ap.add_argument("--config", metavar="PATH", help="JSON config file; CLI flags override it")
     ap.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    ap.add_argument("--format", choices=("csv", "json"))
+    ap.add_argument("--format", choices=FORMATS)
     ap.add_argument("--method", action="append", metavar="NAME", dest="methods",
                     help=f"method to run (repeatable or comma-separated); "
                          f"choices: {', '.join(ALL_METHODS)}")
@@ -589,9 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--initial", choices=[k.value for k in InitialKind])
     ap.add_argument("--initial-file", metavar="PATH", dest="initial_path",
                     help="JSON state file for --initial custom-file")
-    ap.add_argument("--step-mode", choices=("single-shot", "stepping"), dest="step_mode")
-    ap.add_argument("--pad", type=int, metavar="N",
-                    help="extra Fock levels for the split3 commutator factor")
+    ap.add_argument("--step-mode", choices=STEP_MODES, dest="step_mode")
     ap.add_argument("--rk4-dt", type=float, metavar="H", dest="rk4_dt")
     ap.add_argument("--study", choices=("convergence",))
     ap.add_argument("--h-list", metavar="H1,H2,...", dest="h_list",
@@ -619,7 +619,7 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
     p = cfg.model_params()
     rho0 = initial_state(cfg)
     with _truncation_warnings_as_lines():
-        result = convergence_study(rho0, p, h_list, pad=cfg.pad)
+        result = convergence_study(rho0, p, h_list)
 
     names = [o for o in result.errors]
     comments = [f"schema_version={SCHEMA_VERSION}", "study=convergence",
@@ -628,7 +628,7 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
         s = result.slopes[name]
         comments.append(f"slope_{name.replace('-', '_')}="
                         + ("exact" if s is None else _format_float(s)))
-    if cfg.format == "json":
+    if cfg.format == JSON:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "study": "convergence",
@@ -669,7 +669,7 @@ def _truncation_warnings_as_lines():
 
 def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
     """One stderr line per method whose min_eig drops below -MIN_EIG_TOL."""
-    hint = ("use --step-mode stepping" if cfg.step_mode == "single-shot"
+    hint = (f"use --step-mode {STEPPING}" if cfg.step_mode == SINGLE_SHOT
             else "use a smaller max_step_scale")
     for m in cfg.methods:
         k = columns.index(f"{m.replace('-', '_')}_min_eig")
@@ -683,7 +683,7 @@ def _note_raised_bound(cfg: RunConfig) -> None:
     """One stderr line when single-shot mode lifts the step bound of the
     split methods above DEFAULT_STEP_BOUND (see _method_trajectory)."""
     reach = cfg.t_max * cfg.model_params().rate
-    if (cfg.step_mode == "single-shot" and reach > DEFAULT_STEP_BOUND
+    if (cfg.step_mode == SINGLE_SHOT and reach > DEFAULT_STEP_BOUND
             and any(m in SPLIT_METHODS for m in cfg.methods)):
         print(f"note: single-shot raises the step bound to {reach:.6g}; "
               f"split errors grow with t*rate, --step-mode stepping keeps each "
@@ -691,13 +691,13 @@ def _note_raised_bound(cfg: RunConfig) -> None:
 
 
 def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
-    if plotscript and (cfg.format != "csv" or cfg.out is None):
+    if plotscript and (cfg.format != CSV or cfg.out is None):
         raise ConfigError("--plotscript needs --out plus csv format")
     with _truncation_warnings_as_lines():
         columns, rows = run_trajectory(cfg)
     _note_raised_bound(cfg)
     _warn_unphysical(cfg, columns, rows)
-    if cfg.format == "json":
+    if cfg.format == JSON:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": cfg.to_dict(),

@@ -28,8 +28,8 @@ Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
 e^{tY} the restriction is exact (their factors never couple through the
 cutoff), but the commutator factor does couple through it, so it is
-evaluated at an enlarged cutoff dim+pad and compressed back; the error
-decays factorially in pad (default 8).
+evaluated at a cutoff enlarged by DEFAULT_PAD = 8 levels and compressed
+back; the error decays factorially in the pad.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
     if pad < 0:
         raise DomainError(f"pad must be >= 0, got {pad}")
     (G1, _), (G2, _), dp = _sparse_pair_generators(p, pad)
-    theta = 0.5 * t * t * p.Omega
+    theta = 0.5 * t * (t * p.Omega)
     F1 = expm(-1j * theta * G1.toarray())
     F2 = expm(+1j * theta * G2.toarray())
     if not (np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))):
@@ -238,18 +238,18 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
-def commutator_step(rho: BlockDensity, t: float, p: ModelParams, pad: int) -> BlockDensity:
+def commutator_step(rho: BlockDensity, t: float, p: ModelParams) -> BlockDensity:
     """F1 @ F2 rho = e^{(t^2/2)[X,Y]} rho, unchecked and unguarded: the one
     Split3 factor path, for propagate and for callers holding the Split2
-    state.  The blocks, padded to dim+pad, form one (4, q) array whose (2q, 2)
-    column pairs (F2 couples components (0,1) and (2,3); F1 (0,2), (1,3)) go
-    through _taylor_action of the cached sparse pair generators, one
-    reshape/transpose copy each; the result is compressed back to dim."""
-    (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, pad)
+    state.  The blocks, padded to dim+DEFAULT_PAD, form one (4, q) array whose
+    (2q, 2) column pairs (F2 couples components (0,1) and (2,3); F1 (0,2),
+    (1,3)) go through _taylor_action of the cached sparse pair generators,
+    one reshape/transpose copy each; the result is compressed back to dim."""
+    (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, DEFAULT_PAD)
     d, q = p.dim, dp * dp
     V = np.zeros((4, dp, dp), dtype=complex)
     V[:, :d, :d] = rho.blocks
-    theta = 0.5 * t * t * p.Omega
+    theta = 0.5 * t * (t * p.Omega)   # finite where t * t overflows: t * Omega <= t * rate
     try:
         # columns [v0; v1] and [v2; v3]
         W = _taylor_action(G2, norm2, +1j * theta, np.ascontiguousarray(V.reshape(2, 2 * q).T))
@@ -263,8 +263,7 @@ def commutator_step(rho: BlockDensity, t: float, p: ModelParams, pad: int) -> Bl
 
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
               order: PropagatorOrder = PropagatorOrder.SPLIT2,
-              step_bound: float = DEFAULT_STEP_BOUND,
-              pad: int = DEFAULT_PAD) -> BlockDensity:
+              step_bound: float = DEFAULT_STEP_BOUND) -> BlockDensity:
     """One application of the selected approximate propagator.
 
     This is a single step: t is rejected (StepError) once t * max(Omega,
@@ -276,10 +275,11 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
     conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
     applied through its diagonals; and Split3 is commutator_step on that
-    Split2 state, the one factor path, which callers that hold the Split2
-    state of the same t take too.  The t-only operators of the first two
-    factors come from bounded caches keyed by (t, params) and shared by
-    every order, so steps of one h build them once.  The tests check it against the dense product
+    Split2 state, the one factor path (always padded by DEFAULT_PAD levels),
+    which callers that hold the Split2 state of the same t take too.  The
+    t-only operators of the first two factors come from bounded caches keyed
+    by (t, params) and shared by every order, so steps of one h build them
+    once.  The tests check it against the dense product
     of exp_Y, exp_commutator and the diagonal-block propagator, independent
     numerics, to ~1e-13.
     """
@@ -288,8 +288,6 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
         raise DomainError(f"t must be finite and >= 0, got {t}")
     if rho0.dim != p.dim:
         raise ShapeError(f"state dim {rho0.dim} != params dim {p.dim}")
-    if pad < 0:
-        raise DomainError(f"pad must be >= 0, got {pad}")
     if t * p.rate > step_bound * (1 + 1e-12):
         raise StepError(
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "
@@ -307,7 +305,7 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
 
     out = BlockDensity(*blocks)
     if order is PropagatorOrder.SPLIT3:
-        out = commutator_step(out, t, p, pad)
+        out = commutator_step(out, t, p)
     warn_on_guard_occupation(out)
     return out
 

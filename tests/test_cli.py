@@ -293,7 +293,7 @@ def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
         ts = np.linspace(0.0, cfg.t_max, cfg.points)
         for k, rho in enumerate(seen):   # rows in t order, methods within a row
             t, method = ts[k // len(cfg.methods)], cfg.methods[k % len(cfg.methods)]
-            want = propagate(rho0, float(t), p, method, step_bound=np.inf, pad=cfg.pad)
+            want = propagate(rho0, float(t), p, method, step_bound=np.inf)
             assert np.array_equal(rho.full(), want.full()), (methods, t, method)
         with warnings.catch_warnings():
             warnings.simplefilter("always", TruncationWarning)
@@ -519,6 +519,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert exc.value.code == 0
 
 
+def test_main_rejects_a_pad_setting(tmp_path, capsys, monkeypatch):
+    # the split3 factor's enlarged cutoff is fixed in zassenhaus: neither a
+    # config key nor a flag sets it, and either is one error line, before any work
+    monkeypatch.setattr(cli, "initial_state", lambda *a: pytest.fail("work started"))
+    config = tmp_path / "pad.json"
+    config.write_text(json.dumps({"pad": 8}))
+    for argv in (["--config", str(config)], ["--pad", "8"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+
+
 def test_python_m_dampedjc_runs_the_cli_quietly():
     src = str(Path(dampedjc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -639,6 +652,14 @@ def test_emit_plotscript(tmp_path):
     assert script.read_text() == text
     with pytest.raises(FileNotFoundError):
         emit_plotscript(str(tmp_path / "missing.csv"), str(script))
+    # a quote in a path is doubled, gnuplot's escape inside '...'
+    (tmp_path / "q'dir").mkdir()
+    quoted = tmp_path / "q'dir" / "it's.csv"
+    quoted.write_text(out.read_text())
+    emit_plotscript(str(quoted), str(tmp_path / "q'dir" / "it's.gp"))
+    lines = (tmp_path / "q'dir" / "it's.gp").read_text().splitlines()
+    assert f"csvfile = '{tmp_path}/q''dir/it''s.csv'" in lines
+    assert f"set output '{tmp_path}/q''dir/it''s.png'" in lines
 
 
 def test_main_plotscript_flag(tmp_path):

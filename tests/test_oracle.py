@@ -1,3 +1,5 @@
+import cmath
+import contextlib
 import math
 import re
 import time
@@ -14,13 +16,16 @@ from dampedjc import (
     NumericalError,
     OracleConfig,
     OracleMethod,
+    PropagatorOrder,
     ShapeError,
     StepError,
+    TruncationWarning,
     build_generator,
     coherent_state,
     diagnostics,
     master_rhs,
     oracle_propagate,
+    propagate,
     restrict_superop,
     trace_distance,
     vacuum_solution,
@@ -28,8 +33,8 @@ from dampedjc import (
 )
 from dampedjc import oracle
 from dampedjc.oracle import oracle_trajectory
-from dampedjc.superop import (TAYLOR_MAX_SUBSTEPS, TAYLOR_SUBSTEP_NORM, _taylor_action,
-                              sparse_generator, step_count)
+from dampedjc.superop import (GUARD_LEVELS, TAYLOR_MAX_SUBSTEPS, TAYLOR_SUBSTEP_NORM,
+                              _taylor_action, sparse_generator, step_count)
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -300,3 +305,64 @@ def test_converged_expm_differs_from_plain_at_edge():
     assert np.abs(plain - conv).max() > 1e-4
     v = vectorize_blocks(example_state(0.2, 8))
     assert np.abs((plain - conv) @ v).max() < 1e-7
+
+
+def one_excitation_exact(t, p):
+    """The exact state at nu = 0 from |atom 0, n 0><atom 0, n 0|, as the
+    2 dim x 2 dim matrix: |psi><psi| + (1 - |c0|^2 - |c1|^2) |1,0><1,0| with
+    psi = c0 |0,0> + c1 |1,1> (the damped vacuum Rabi oscillation; the flow
+    never leaves n <= 1, so the truncated generator is exact at dim >= 2)."""
+    gamma = p.mu / 4
+    w = cmath.sqrt(p.Omega ** 2 - gamma ** 2)   # imaginary when overdamped
+    decay = math.exp(-gamma * t)
+    c0 = decay * (cmath.cos(w * t) + gamma / w * cmath.sin(w * t))
+    c1 = -1j * p.Omega / w * decay * cmath.sin(w * t)
+    d = p.dim
+    psi = np.zeros(2 * d, dtype=complex)
+    psi[0], psi[d + 1] = c0, c1
+    rho = np.outer(psi, psi.conj())
+    rho[d, d] += 1 - abs(c0) ** 2 - abs(c1) ** 2
+    return rho
+
+
+def one_excitation_start(d):
+    rho = np.zeros((2 * d, 2 * d), dtype=complex)
+    rho[0, 0] = 1.0
+    return BlockDensity.from_full(rho)
+
+
+def guard_expected(d):
+    """The state fills n <= 1, inside the top GUARD_LEVELS levels below dim 5."""
+    return pytest.warns(TruncationWarning) if d <= GUARD_LEVELS + 1 else contextlib.nullcontext()
+
+
+def test_oracle_matches_one_excitation_solution():
+    # an exact solution that shares no line with the oracle: nu = 0, one
+    # excitation, at the README rates and in the overdamped case
+    ts = np.linspace(0.0, 2.0, 41)
+    readme = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.0, dim=2)
+    overdamped = ModelParams(omega0=0.3, Omega=0.5, mu=3.0, nu=0.0, dim=6)
+    for p in (readme, readme.with_dim(24), overdamped):
+        for cfg, tol in ((OracleConfig(), 1e-13), (OracleConfig(OracleMethod.RK4, 1e-3), 1e-12)):
+            with guard_expected(p.dim):
+                states, _ = oracle_trajectory(one_excitation_start(p.dim), ts, p, cfg)
+            worst = max(trace_distance(rho.full(), one_excitation_exact(t, p))
+                        for rho, t in zip(states, ts))
+            assert worst < tol, (p, cfg.method, worst)
+
+
+def test_split_global_orders_against_one_excitation_solution():
+    # stepping to T = 2: global error h^1 for split2 and h^2 for split3
+    p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.0, dim=4)
+    exact = one_excitation_exact(2.0, p)
+    steps = (10, 20, 40, 80)
+    for order, slope in ((PropagatorOrder.SPLIT2, 1.0), (PropagatorOrder.SPLIT3, 2.0)):
+        errors = []
+        for n in steps:
+            rho = one_excitation_start(p.dim)
+            with guard_expected(p.dim):
+                for _ in range(n):
+                    rho = propagate(rho, 2.0 / n, p, order)
+            errors.append(trace_distance(rho.full(), exact))
+        got = np.polyfit(np.log(2.0 / np.asarray(steps)), np.log(errors), 1)[0]
+        assert abs(got - slope) < 0.2, (order, errors, got)

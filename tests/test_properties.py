@@ -5,8 +5,10 @@ sandwich in propagate are compared with their dense matrix forms, to 1e-12
 relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2; the banded
 sparse generator must equal the Kronecker assembly exactly.  Over the
 same draws, the diagonal flow and split2 keep random states positive at any
-t; split2 of the vacuum/coherent example state against its closed form, for
-any coherent amplitude the cutoff holds, is a known failure (xfail).
+t, and one split2 or split3 step within the bound keeps the trace and
+hermiticity of a state at low Fock levels; split2 of the vacuum/coherent
+example state against its closed form, for any coherent amplitude the
+cutoff holds, is a known failure (xfail).
 """
 
 import cmath
@@ -15,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, Verbosity, given, settings
+from hypothesis import Phase, Verbosity, assume, given, settings
 from hypothesis import strategies as st
 
 from dampedjc import (
@@ -29,15 +31,20 @@ from dampedjc import (
     devectorize,
     diagonal_block_propagator,
     example_solution,
+    guard_occupation,
     propagate,
     tau_series,
     vectorize,
 )
 from dampedjc.fock import TAIL_TOL
-from dampedjc.superop import sparse_generator
+from dampedjc.superop import GUARD_TOL, sparse_generator
 from dampedjc.zassenhaus import _coupling_blocks
 
 RTOL = 1e-12
+# One split step within the bound, from a state whose result stays off the
+# guard levels, keeps the trace to this: the weight the truncated pump pushes
+# past the cutoff.  1000 draws of the test below read at most 3.3e-11.
+TRACE_TOL = 1e-10
 
 rates = st.floats(min_value=0.0, max_value=2.0)
 
@@ -114,6 +121,31 @@ def test_diagonal_flow_and_split2_keep_states_positive(p, t, seed):
         for order in (PropagatorOrder.DIAGONAL_ONLY, PropagatorOrder.SPLIT2):
             full = propagate(rho0, t, p, order, step_bound=bound).full()
             assert np.linalg.eigvalsh((full + full.conj().T) / 2).min() >= -1e-12
+
+
+def low_state(seed, d):
+    """random_state confined to the Fock levels n < max(1, d // 4)."""
+    k = max(1, d // 4)
+    blocks = np.zeros((4, d, d), dtype=complex)
+    blocks[:, :k, :k] = random_state(seed, k).blocks
+    return BlockDensity(*blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(p=models(), reach=st.floats(min_value=0.0, max_value=1.0), seed=seeds)
+def test_split_steps_keep_trace_and_hermiticity(p, reach, seed):
+    # one step with t * rate = reach <= 1, from a state at low Fock levels;
+    # draws whose result reaches the guard levels say nothing about the method
+    rho0 = low_state(seed, p.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = [propagate(rho0, reach / p.rate, p, order)
+               for order in (PropagatorOrder.SPLIT2, PropagatorOrder.SPLIT3)]
+    assume(max(guard_occupation(rho) for rho in out) <= GUARD_TOL)
+    for rho in out:
+        full = rho.full()
+        assert np.abs(full - full.conj().T).max() <= 1e-14
+        assert abs(rho.trace() - 1) <= TRACE_TOL
 
 
 def max_alpha(d):

@@ -273,7 +273,7 @@ def test_commutator_factor_at_theta_zero_returns_input():
     rng = np.random.default_rng(3)
     rho = BlockDensity(*(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                          for _ in range(4)))
-    assert np.array_equal(commutator_step(rho, 0.0, p, pad).full(), rho.full())
+    assert np.array_equal(commutator_step(rho, 0.0, p).full(), rho.full())
     # the four padded stacked components, all entries nonzero
     vec4 = np.array([rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
                      for _ in range(4)])
@@ -285,9 +285,22 @@ def test_commutator_factor_at_theta_zero_returns_input():
     rho0 = example_state(0.2, d)
     # (this small state fills the top levels: each call warns once)
     with pytest.warns(TruncationWarning) as caught:
-        assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3, pad=pad).full(),
-                              propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2, pad=pad).full())
+        assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3).full(),
+                              propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2).full())
     assert len(caught) == 2
+
+
+def test_split3_angle_stays_finite_at_tiny_rates():
+    # a step with t * rate = 1 when every rate is ~1e-250: t * t overflows,
+    # the factor's angle (t^2/2) Omega does not
+    rho0 = example_state(0.3, 8)
+    for Omega in (0.0, 5e-250):
+        p = ModelParams(omega0=0.0, Omega=Omega, mu=5e-250, nu=0.0, dim=8)
+        got = propagate(rho0, 1 / p.rate, p, PropagatorOrder.SPLIT3)
+        assert np.isfinite(got.blocks).all() and abs(got.trace() - 1) < 1e-12
+        if Omega == 0:
+            split2 = propagate(rho0, 1 / p.rate, p, PropagatorOrder.SPLIT2)
+            assert np.array_equal(got.blocks, split2.blocks)
 
 
 class Counted:
@@ -435,8 +448,6 @@ def test_propagate_validation():
         propagate(example_state(0.4, 8), 0.1, P)
     with pytest.raises(StepError):
         propagate(rho0, 1.5, P)   # t * max(Omega, mu, omega0) = 1.5 > 1
-    with pytest.raises(DomainError):
-        propagate(rho0, 0.1, P, "split3", pad=-1)
     with pytest.raises(DomainError):
         exp_commutator(0.1, P, pad=-1)
     # explicit bound lifts the guard
