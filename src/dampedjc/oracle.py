@@ -109,38 +109,45 @@ def master_rhs(rho: BlockDensity, p: ModelParams) -> BlockDensity:
     """
     if rho.dim != p.dim:
         raise ShapeError(f"state dim {rho.dim} != params dim {p.dim}")
-    d = p.dim
-    a = annihilation(d)
-    ad = creation(d)
-    N = number(d)
-    Np1 = N + np.eye(d)
+    return BlockDensity._own(_rhs(rho.blocks, _ladder_ops(p.dim), p))
+
+
+def _ladder_ops(d: int) -> tuple:
+    """(a, a+, N, N+1), dense d x d."""
+    return annihilation(d), creation(d), number(d), number(d) + np.eye(d)
+
+
+def _rhs(blocks: np.ndarray, ops: tuple, p: ModelParams) -> np.ndarray:
+    """master_rhs on the stacked (4, d, d) blocks, ops = _ladder_ops(d)."""
+    a, ad, N, Np1 = ops
     w0, W, mu, nu = p.omega0, p.Omega, p.mu, p.nu
 
     def dissipate(s):
         return (mu * (a @ s @ ad - 0.5 * (N @ s + s @ N))
                 + nu * (ad @ s @ a - 0.5 * (Np1 @ s + s @ Np1)))
 
-    r00, r01, r10, r11 = rho.rho00, rho.rho01, rho.rho10, rho.rho11
+    r00, r01, r10, r11 = blocks
     d00 = -1j * w0 * (N @ r00 - r00 @ N) - 1j * W * (a @ r10 - r01 @ ad) + dissipate(r00)
     d01 = (-1j * w0 * r01 - 1j * w0 * (N @ r01 - r01 @ N)
            - 1j * W * (a @ r11 - r00 @ a) + dissipate(r01))
     d10 = (+1j * w0 * r10 - 1j * w0 * (N @ r10 - r10 @ N)
            - 1j * W * (ad @ r00 - r11 @ ad) + dissipate(r10))
     d11 = -1j * w0 * (N @ r11 - r11 @ N) - 1j * W * (ad @ r01 - r10 @ a) + dissipate(r11)
-    return BlockDensity(d00, d01, d10, d11)
+    return np.stack([d00, d01, d10, d11])
 
 
 def _rk4_evolve(rho: BlockDensity, t: float, p: ModelParams, dt: float) -> BlockDensity:
     n = step_count(t, dt, "oracle rk4")
     h = t / n
+    ops = _ladder_ops(p.dim)
     cur = rho.blocks
     for _ in range(n):
-        k1 = master_rhs(BlockDensity(*cur), p).blocks
-        k2 = master_rhs(BlockDensity(*(cur + 0.5 * h * k1)), p).blocks
-        k3 = master_rhs(BlockDensity(*(cur + 0.5 * h * k2)), p).blocks
-        k4 = master_rhs(BlockDensity(*(cur + h * k3)), p).blocks
+        k1 = _rhs(cur, ops, p)
+        k2 = _rhs(cur + 0.5 * h * k1, ops, p)
+        k3 = _rhs(cur + 0.5 * h * k2, ops, p)
+        k4 = _rhs(cur + h * k3, ops, p)
         cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return BlockDensity(*cur)
+    return BlockDensity._own(cur)
 
 
 def _vet(rho: BlockDensity, trace0: complex) -> float:

@@ -93,6 +93,14 @@ class BlockDensity:
         self.blocks = np.stack(blocks)
         self.rho00, self.rho01, self.rho10, self.rho11 = self.blocks
 
+    @classmethod
+    def _own(cls, blocks: np.ndarray) -> "BlockDensity":
+        """The state holding the fresh (4, dim, dim) complex array itself."""
+        rho = cls.__new__(cls)
+        rho.blocks = blocks
+        rho.rho00, rho.rho01, rho.rho10, rho.rho11 = blocks
+        return rho
+
     @property
     def dim(self) -> int:
         return self.blocks.shape[1]
@@ -338,10 +346,10 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
     m = 0
     while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:
         m += 1
+    size = dzasum(V.ravel())   # entrywise ||V||_1 <= sum |re| + |im| <= sqrt(2) ||V||_1
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(s):
-            # entrywise ||.||_1 <= dzasum (sum |re| + |im|) <= sqrt(2) ||.||_1
-            floor = dzasum(V.ravel()) * math.exp(x / s * (step + 1 - s)) / 2 ** 53.5
+            floor = size * math.exp(x / s * (step + 1 - s)) / 2 ** 53.5
             F = B = V
             for k in range(1, m + 1):
                 B = G @ B
@@ -351,9 +359,38 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
                 if 2 <= k <= m - 2 and r < 1 and dzasum(B.ravel()) * r / (1 - r) <= floor:
                     break
             V = F
-            if not np.isfinite(V).all():
+            size = dzasum(V.ravel())   # finite only if every entry is
+            if not math.isfinite(size) and not np.isfinite(V).all():
                 raise NumericalError(f"action overflowed at substep {step + 1} of {s}")
     return V
+
+
+class _FloatBands:
+    """A complex operator from its band rows data[b] at offsets[b], in the
+    DIA layout (data[b, c] = M[c - offsets[b], c], columns in C order of
+    `shape`, to which each row broadcasts), each row purely real or purely
+    imaginary, as one real DIA matrix (Saad, Iterative Methods for Sparse
+    Linear Systems, sec. 3.4) on the float view of its operand: band a at
+    offset o becomes a at 2o, band ib -b at 2o+1 and b at 2o-1.  M @ V, V
+    C-contiguous, keeps V's shape and, with at most two nonzero terms a row,
+    the complex product's bits (up to signs of zero)."""
+
+    def __init__(self, data: np.ndarray, offsets, shape=None):
+        rows = []   # (float offset, band, factor): the row's (even, odd) pairs are factor * band
+        for o, band in zip(offsets, data):
+            if band.imag.any():   # ib -> (0, -b) at 2o+1 and (b, 0) at 2o-1
+                rows += [(2 * o + 1, band, -1), (2 * o - 1, band, -1j)]
+            else:                 # a -> (a, a) at 2o
+                rows.append((2 * o, band, 1 + 1j))
+        pairs = np.empty((len(rows),) + (shape or data.shape[1:]), complex)
+        for out, (_, band, factor) in zip(pairs, rows):
+            np.multiply(band, factor, out=out)
+        pairs = pairs.reshape(len(rows), -1).view(float)
+        self.dia = sp.dia_matrix((pairs, [o for o, _, _ in rows]), shape=(pairs.shape[1],) * 2)
+        self.dia.data.flags.writeable = False
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        return (self.dia @ V.reshape(-1).view(float)).view(complex).reshape(V.shape)
 
 
 # ---------------------------------------------------------------------------

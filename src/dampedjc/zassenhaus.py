@@ -13,16 +13,15 @@ U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
 factor splits into two commuting exponentials built from the single-block
 operators A, B, C, D.
 
-On a state, propagate applies the first two factors with no Python loop
-over Fock levels or series terms: the diagonal flow is one batched
-tau_series call on the four stacked blocks (two real GEMMs with triangular
-Toeplitz matrices along the block diagonals, in a factorial-scaled basis),
-and U acts through its four nonzero diagonals, O(d^2) work.  Their t-only
-operators are built once per (t, params) in bounded caches shared by every
-order.  The Split3 commutator factor acts on the stacked padded (4, q) array
-through superop._taylor_action (a forward Taylor sum, stopped at a rigorous
-tail bound, capped at the a-priori degree), shared with the oracle, of its
-two cached sparse pair generators and their 1-norms.
+On a state, propagate applies the factors with no Python loop over Fock
+levels or series terms.  The diagonal flow is one batched tau_series call on
+the four stacked blocks (two real GEMMs with triangular Toeplitz matrices
+along the block diagonals, in a factorial-scaled basis).  Every band of U
+and of the commutator factor's generators is real or imaginary, so each of
+their products with the flat stacked state is one real band product on its
+float view: U from the left and U+ from the right, built per (t, params),
+and the two padded pair generators, built per params, inside the forward
+Taylor sum of superop._taylor_action that the oracle shares.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -51,14 +50,8 @@ from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import (annihilation, coherent_state, cos_sqrt, cos_sqrt_values, creation,
                    sinc_sqrt, sinc_sqrt_values)
 from .params import ModelParams
-from .superop import (
-    BlockDensity,
-    _sparse_sides,
-    _taylor_action,
-    block_phases,
-    restrict_superop,
-    warn_on_guard_occupation,
-)
+from .superop import (BlockDensity, _FloatBands, _sparse_sides, _taylor_action, block_phases,
+                      restrict_superop, warn_on_guard_occupation)
 
 DEFAULT_STEP_BOUND = 1.0
 DEFAULT_PAD = 8
@@ -106,16 +99,15 @@ def commutator_blocks(p: ModelParams) -> CommutatorBlocks:
     return CommutatorBlocks(*(M.toarray() for M in _sparse_commutator_blocks(p)))
 
 
-def _on_atom_index(M: np.ndarray, side: int) -> np.ndarray:
-    """Lift a 2q x 2q matrix M, a 2x2 nest of q x q blocks over one atom
-    index, to the 4q x 4q stacked space (block 2i+j holds rho_ij).
-
-    side 0 acts on the row index i and couples components (0,2) and (1,3);
-    side 1 acts on the column index j and couples (0,1) and (2,3).
-    """
-    q = M.shape[0] // 2
-    spec = "iakb,jl->ijaklb" if side == 0 else "jalb,ik->ijaklb"
-    return np.einsum(spec, M.reshape(2, q, 2, q), np.eye(2)).reshape(4 * q, 4 * q)
+def _on_atom_index(M, side: int):
+    """Lift a 2q x 2q matrix M (dense, or sparse to CSR), a 2x2 nest of
+    q x q blocks over one atom index, to the 4q x 4q stacked space (block
+    2i+j holds rho_ij): side 1 acts on the column index j, as 1 kron M, and
+    couples components (0,1) and (2,3); side 0 on the row index i, (0,2) and
+    (1,3)."""
+    lifted = sp.kron(np.eye(2), M, format="csr") if sp.issparse(M) else np.kron(np.eye(2), M)
+    swap = np.arange(2 * M.shape[0]).reshape(2, 2, -1).transpose(1, 0, 2).ravel()
+    return lifted if side == 1 else lifted[np.ix_(swap, swap)]
 
 
 def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
@@ -150,14 +142,11 @@ def _coupling_diagonals(t: float, p: ModelParams):
     """
     d = p.dim
     c = p.Omega * t
-    root = np.sqrt(np.arange(1.0, d))   # a[i, i+1] = a+[i+1, i] = root[i]
-    diagonals = (cos_sqrt_values(c, d, shift=1),
-                 cos_sqrt_values(c, d, shift=0),
-                 -1j * sinc_sqrt_values(c, d, shift=1)[:-1] * root,
-                 -1j * sinc_sqrt_values(c, d, shift=0)[1:] * root)
-    for diagonal in diagonals:
-        diagonal.flags.writeable = False
-    return diagonals
+    cos = cos_sqrt_values(c, d + 1)   # at N = 0 .. d: cos_p is cos[1:], cos_n cos[:-1]
+    # a[i, i+1] = a+[i+1, i] = sqrt(i+1): the (0,1) and (1,0) diagonals are equal
+    off = -1j * sinc_sqrt_values(c, d + 1)[1:d] * np.sqrt(np.arange(1.0, d))
+    off.flags.writeable = False   # cos is a read-only broadcast view
+    return cos[1:], cos[:-1], off, off
 
 
 def _coupling_blocks(t: float, p: ModelParams):
@@ -167,21 +156,18 @@ def _coupling_blocks(t: float, p: ModelParams):
             [np.diag(down, -1), np.diag(cos_n)]]
 
 
-def _coupling_left(diagonals, R: np.ndarray) -> np.ndarray:
-    """U R for R a 2x2 nest of d x d blocks, shape (2, 2, d, d): each block
-    row of U scales the rows of R and adds a one-row shift of the other."""
-    cos_p, cos_n, up, down = diagonals
-    out = np.empty_like(R)
-    out[0] = cos_p[:, None] * R[0]
-    out[0, :, :-1] += up[:, None] * R[1, :, 1:]
-    out[1] = cos_n[:, None] * R[1]
-    out[1, :, 1:] += down[:, None] * R[0, :, :-1]
-    return out
-
-
-def _dagger(R: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a 2x2 nest of d x d blocks, shape (2, 2, d, d)."""
-    return R.conj().transpose(1, 0, 3, 2)
+@lru_cache(maxsize=1)
+def _coupling_operators(t: float, p: ModelParams):
+    """(U from the left, U+ from the right) on the flat stacked state, band
+    operators at 0 and +-(2q+d) and at 0 and +-(q+1), q = d^2.  One cached
+    entry per (t, params): stepping reuses one t, single shot none."""
+    cos_p, cos_n, up, down = _coupling_diagonals(t, p)
+    d, q, zero = p.dim, p.dim ** 2, np.zeros(p.dim)
+    # band values by column (DIA layout): U's by its (i, m), U+'s by its (j, n)
+    bands = np.array([[cos_p, cos_n], [zero, np.append(0, up)], [np.append(down, 0), zero]])
+    left, right = np.repeat(bands, d, axis=2)[:, :, None], np.tile(bands.conj(), d)[:, None]
+    return (_FloatBands(left, [0, 2 * q + d, -2 * q - d], (2, 2, q)),
+            _FloatBands(right, [0, q + 1, -q - 1], (2, 2, q)))
 
 
 def exp_Y(t: float, p: ModelParams) -> np.ndarray:
@@ -195,17 +181,25 @@ def exp_Y(t: float, p: ModelParams) -> np.ndarray:
     return np.einsum("imkp,jnlr->ijmnklpr", U, U.conj()).reshape(4 * d * d, 4 * d * d)
 
 
-@lru_cache(maxsize=16)
 def _sparse_pair_generators(p: ModelParams, pad: int):
     """The two commutator-factor generators [[0,A],[B,0]] and [[0,C],[D,0]]
     at cutoff dim+pad, sparse CSC, as ((G1, norm1), (G2, norm2), dp) with
-    the exact 1-norms.  Cached: every split3 step uses them."""
+    the exact 1-norms.  Split3 steps keep only their lifted band operators."""
     dp = p.dim + pad
     A, B, C, D = _sparse_commutator_blocks(p.with_dim(dp))
     G1 = sp.bmat([[None, A], [B, None]], format="csc")
     G2 = sp.bmat([[None, C], [D, None]], format="csc")
     return ((G1, float(abs(G1).sum(axis=0).max())),
             (G2, float(abs(G2).sum(axis=0).max())), dp)
+
+
+@lru_cache(maxsize=16)
+def _stacked_pair_generators(p: ModelParams):
+    """`_sparse_pair_generators(p, DEFAULT_PAD)` lifted to the padded stacked
+    space as band operators, with the same norms: ((G1, norm1), (G2, norm2), dp)."""
+    (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, DEFAULT_PAD)
+    M1, M2 = _on_atom_index(G1, 0).todia(), _on_atom_index(G2, 1).todia()
+    return (_FloatBands(M1.data, M1.offsets), norm1), (_FloatBands(M2.data, M2.offsets), norm2), dp
 
 
 def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarray:
@@ -241,24 +235,18 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 def commutator_step(rho: BlockDensity, t: float, p: ModelParams) -> BlockDensity:
     """F1 @ F2 rho = e^{(t^2/2)[X,Y]} rho, unchecked and unguarded: the one
     Split3 factor path, for propagate and for callers holding the Split2
-    state.  The blocks, padded to dim+DEFAULT_PAD, form one (4, q) array whose
-    (2q, 2) column pairs (F2 couples components (0,1) and (2,3); F1 (0,2),
-    (1,3)) go through _taylor_action of the cached sparse pair generators,
-    one reshape/transpose copy each; the result is compressed back to dim."""
-    (G1, norm1), (G2, norm2), dp = _sparse_pair_generators(p, DEFAULT_PAD)
-    d, q = p.dim, dp * dp
+    state.  The blocks, padded to dim+DEFAULT_PAD, go as one flat array
+    through the Taylor actions of the stacked pair generators F2 and F1."""
+    (G1, norm1), (G2, norm2), dp = _stacked_pair_generators(p)
+    d = p.dim
     V = np.zeros((4, dp, dp), dtype=complex)
     V[:, :d, :d] = rho.blocks
     theta = 0.5 * t * (t * p.Omega)   # finite where t * t overflows: t * Omega <= t * rate
     try:
-        # columns [v0; v1] and [v2; v3]
-        W = _taylor_action(G2, norm2, +1j * theta, np.ascontiguousarray(V.reshape(2, 2 * q).T))
-        # columns [w0; w2] and [w1; w3], w0..w3 the rows of W.reshape(2, q, 2)
-        U = _taylor_action(G1, norm1, -1j * theta,
-                           W.reshape(2, q, 2).transpose(2, 1, 0).reshape(2 * q, 2))
+        V = _taylor_action(G1, norm1, -1j * theta, _taylor_action(G2, norm2, +1j * theta, V))
     except NumericalError as e:
         raise NumericalError(f"commutator-factor {e}") from None
-    return BlockDensity(*U.reshape(2, q, 2).transpose(0, 2, 1).reshape(4, dp, dp)[:, :d, :d])
+    return BlockDensity._own(np.ascontiguousarray(V[:, :d, :d]))
 
 
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -272,16 +260,12 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
 
     Implemented in operator form rather than through the dense
     superoperator: e^{tX} is one tau_series call on the four stacked blocks
-    times the scalar phases (0, -w0, +w0, 0); e^{tY} is the unitary
-    conjugation rho~ = U rho~1 U+, computed as (U (U rho~1)+)+ with U
-    applied through its diagonals; and Split3 is commutator_step on that
-    Split2 state, the one factor path (always padded by DEFAULT_PAD levels),
-    which callers that hold the Split2 state of the same t take too.  The
-    t-only operators of the first two factors come from bounded caches keyed
-    by (t, params) and shared by every order, so steps of one h build them
-    once.  The tests check it against the dense product
-    of exp_Y, exp_commutator and the diagonal-block propagator, independent
-    numerics, to ~1e-13.
+    times the scalar phases (0, -w0, +w0, 0); e^{tY} is U rho U+, two real
+    band products on the float view of the flat state; Split3 is
+    commutator_step on that Split2 state.  The t-only operators are cached
+    per (t, params) for every order, so steps of one h build them once.  The
+    tests check it against the dense product of exp_Y, exp_commutator and
+    the diagonal-block propagator, independent numerics, to ~1e-13.
     """
     order = PropagatorOrder(order)
     if not 0 <= t < math.inf:
@@ -293,17 +277,12 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "
             f"{t * p.rate:.3g} > {step_bound:.3g}; compose shorter steps")
 
-    d = p.dim
     phases = np.exp(1j * np.array(block_phases(p)) * t)
     blocks = phases[:, None, None] * tau_series(rho0.blocks, t, p)
-
     if order is not PropagatorOrder.DIAGONAL_ONLY:
-        # U rho U+ = (U (U rho)+)+, U applied through its diagonals
-        diagonals = _coupling_diagonals(float(t), p)
-        half = _coupling_left(diagonals, blocks.reshape(2, 2, d, d))
-        blocks = _dagger(_coupling_left(diagonals, _dagger(half))).reshape(4, d, d)
-
-    out = BlockDensity(*blocks)
+        left, right = _coupling_operators(float(t), p)
+        blocks = right @ (left @ blocks)
+    out = BlockDensity._own(blocks)
     if order is PropagatorOrder.SPLIT3:
         out = commutator_step(out, t, p)
     warn_on_guard_occupation(out)

@@ -3,7 +3,8 @@
 The Toeplitz-form diagonal flow (tau_series) and the diagonal-band coupling
 sandwich in propagate are compared with their dense matrix forms, to 1e-12
 relative, over rates mu > nu >= 0, cutoffs 2..16 and times 0..2; the banded
-sparse generator must equal the Kronecker assembly exactly.  Over the
+sparse generator must equal the Kronecker assembly exactly, and the real
+band operators of the split factors what they encode.  Over the
 same draws, the diagonal flow and split2 keep random states positive at any
 t, and one split2 or split3 step within the bound keeps the trace and
 hermiticity of a state at low Fock levels; split2 of the vacuum/coherent
@@ -17,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, Verbosity, assume, given, settings
+from hypothesis import Phase, Verbosity, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dampedjc import (
@@ -38,7 +39,8 @@ from dampedjc import (
 )
 from dampedjc.fock import TAIL_TOL
 from dampedjc.superop import GUARD_TOL, sparse_generator
-from dampedjc.zassenhaus import _coupling_blocks
+from dampedjc.zassenhaus import (DEFAULT_PAD, _coupling_blocks, _coupling_operators,
+                                 _sparse_pair_generators, _stacked_pair_generators)
 
 RTOL = 1e-12
 # One split step within the bound, from a state whose result stays off the
@@ -97,6 +99,29 @@ def test_split2_is_coupling_conjugation_of_diagonal_flow(p, t, seed):
 def test_sparse_generator_equals_kronecker_assembly(p):
     # the seven-band writing repeats the Kronecker assembly's arithmetic
     assert np.array_equal(sparse_generator(p).toarray(), build_X(p) + build_Y(p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(p=models(), t=times, seed=seeds)
+@example(p=ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=2), t=0.7, seed=1)
+def test_float_band_operators_equal_what_they_encode(p, t, seed):
+    # the stacked pair generators make the products of the (2q, 2) pair
+    # generators on column pairs (rho00, rho01), (rho10, rho11) and (rho00,
+    # rho10), (rho01, rho11), bit for bit, with the same 1-norms; U's band
+    # operators make U rho and rho U+ of its dense blocks
+    (G1, norm1), (G2, norm2), dp = _stacked_pair_generators(p)
+    (H1, m1), (H2, m2), _ = _sparse_pair_generators(p, DEFAULT_PAD)
+    assert (norm1, norm2) == (m1, m2)
+    V = random_blocks(seed, 4, dp)
+    swap = [0, 2, 1, 3]   # (0, 2) and (1, 3) pairs, an involution
+    assert np.array_equal(G2 @ V, (H2 @ V.reshape(2, -1).T).T.reshape(V.shape))
+    assert np.array_equal(G1 @ V, (H1 @ V[swap].reshape(2, -1).T).T.reshape(V.shape)[swap])
+    rho = BlockDensity(*random_blocks(seed, 4, p.dim))
+    U = np.block(_coupling_blocks(t, p))
+    left, right = _coupling_operators(t, p)
+    for op, want in ((left, U @ rho.full()), (right, rho.full() @ U.conj().T)):
+        got = BlockDensity(*(op @ rho.blocks)).full()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def random_state(seed, d):

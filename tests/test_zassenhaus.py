@@ -460,10 +460,10 @@ def test_non_finite_time_is_a_domain_error():
     # rejected with a DomainError naming t before either cache of t-only
     # operators is looked up, and with no numpy warning (error::RuntimeWarning)
     from dampedjc.analytic import _tau_operators
-    from dampedjc.zassenhaus import _coupling_diagonals
+    from dampedjc.zassenhaus import _coupling_operators
     p = P.with_dim(8)
     rho0 = example_state(0.3, 8)
-    before = (_tau_operators.cache_info(), _coupling_diagonals.cache_info())
+    before = (_tau_operators.cache_info(), _coupling_operators.cache_info())
     for t in (math.inf, -math.inf, math.nan):
         calls = [lambda: efg(t, p), lambda: tau_series(rho0.rho00, t, p),
                  lambda: vacuum_solution(t, p), lambda: exp_Y(t, p),
@@ -473,20 +473,20 @@ def test_non_finite_time_is_a_domain_error():
         for call in calls:
             with pytest.raises(DomainError, match=f"t must be finite and >= 0, got {t}"):
                 call()
-    assert (_tau_operators.cache_info(), _coupling_diagonals.cache_info()) == before
+    assert (_tau_operators.cache_info(), _coupling_operators.cache_info()) == before
 
 
 def test_step_operators_are_built_once_and_reused_bit_identically():
     # the t-only operators of the diagonal flow and of U are cached per
     # (t, params) and shared by every order
     from dampedjc.analytic import _tau_operators
-    from dampedjc.zassenhaus import _coupling_diagonals
+    from dampedjc.zassenhaus import _coupling_operators
     d, h = 12, 1e-3
     p = P.with_dim(d)
     rho0 = example_state(0.6 - 0.3j, d)
     for order in PropagatorOrder:
         _tau_operators.cache_clear()
-        _coupling_diagonals.cache_clear()
+        _coupling_operators.cache_clear()
         cold = propagate(rho0, h, p, order)
         want = cold.full()
         # a returned state owns its arrays: writing to it changes no later call
@@ -497,18 +497,18 @@ def test_step_operators_are_built_once_and_reused_bit_identically():
         assert np.array_equal(hit.full(), want)
         # a 0-d array t is looked up as the float it holds
         assert np.array_equal(propagate(rho0, np.array(h), p, order).full(), want)
-    # the cached arrays are read-only
-    for op in _tau_operators(h, p) + _coupling_diagonals(h, p):
+    # the cached arrays are read-only, U's as the bands of its operators
+    for op in _tau_operators(h, p) + tuple(op.dia.data for op in _coupling_operators(h, p)):
         with pytest.raises(ValueError):
             op[...] = 0
     # 200 steps of one h, all three orders: one build of each
     _tau_operators.cache_clear()
-    _coupling_diagonals.cache_clear()
+    _coupling_operators.cache_clear()
     cur, orders = rho0, list(PropagatorOrder)
     for i in range(200):
         cur = propagate(cur, h, p, orders[i % 3])
     assert _tau_operators.cache_info()[:2] == (199, 1)
-    assert _coupling_diagonals.cache_info().misses == 1
+    assert _coupling_operators.cache_info().misses == 1
 
 
 def test_propagate_warns_on_edge_occupation():
