@@ -1,14 +1,16 @@
 """Command-line harness: observable trajectories and convergence studies.
 
-Runs one or more propagation methods over a shared time grid, records a
-fixed set of observables per method per time, and writes CSV (default) or
-JSON.  Output is deterministic byte-for-byte for a given config: fixed
-float formatting and sorted config embedding.  A method whose states turn
-unphysical (negative eigenvalues) is reported by a warning on stderr, and
-so is single-shot mode lifting the split methods' step bound (a note).
-The TruncationWarnings of each method are counted into one warning line.
+Runs one or more propagation methods in one pass over a shared time grid,
+holding one state per method, records a fixed set of observables per method
+per time, and writes CSV (default) or JSON.  Output is deterministic
+byte-for-byte for a given config: fixed float formatting and sorted config
+embedding.  A method whose states turn unphysical (negative eigenvalues) is
+reported by a warning on stderr, and so is single-shot mode lifting the
+split methods' step bound (a note).  The TruncationWarnings of each method
+are counted into one warning line.
 
-Exit codes: 0 success; 2 bad usage/config/parameters or missing files;
+Exit codes: 0 success; 2 bad usage/config/parameters, missing files or a
+state file that is not a density matrix;
 3 truncation failure (requested state does not fit the basis);
 4 numerical failure (integrator diagnostics, non-finite results, a failed
 linear-algebra routine or exhausted memory).
@@ -26,7 +28,7 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 # This module calls none of expm, build_generator and oracle_propagate, but
@@ -42,8 +44,8 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import annihilation, coherent_state, number
-from .oracle import OracleConfig, OracleMethod, oracle_trajectory
-from .oracle import oracle_propagate  # noqa: F401
+from .oracle import (ORACLE_TOL, OracleConfig, OracleMethod, diagnostics,  # noqa: F401
+                     oracle_propagate, oracle_states, oracle_trajectory)
 from .params import ModelParams
 from .superop import (BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity,  # noqa: F401
                       build_generator, step_count, warn_on_guard_occupation)
@@ -90,7 +92,7 @@ class ObservableRow:
     min_eig: float
 
     def values(self):
-        return astuple(self)
+        return tuple(vars(self).values())
 
 
 OBSERVABLE_NAMES = tuple(f.name for f in fields(ObservableRow))
@@ -246,7 +248,15 @@ def initial_state(cfg: RunConfig) -> BlockDensity:
     d = cfg.dim
     kind = InitialKind(cfg.initial)
     if kind is InitialKind.CUSTOM_FILE:
-        return load_state_file(cfg.initial_path, d)
+        rho = load_state_file(cfg.initial_path, d)
+        rep = diagnostics(rho)
+        for defect, size in (("trace deviation", rep.trace_deviation),
+                             ("hermiticity defect", rep.hermiticity_defect),
+                             ("negativity", -rep.min_eigenvalue)):
+            if size > ORACLE_TOL:
+                raise ConfigError(f"state file {cfg.initial_path} is not a density matrix: "
+                                  f"{defect} {size:.3e} (tolerance {ORACLE_TOL:.1e})")
+        return rho
     z = np.zeros((d, d), dtype=complex)
     ket = coherent_state(cfg.alpha, d)
     coh = 0.5 * np.outer(ket, ket.conj())
@@ -325,90 +335,87 @@ def observables(rho: BlockDensity, ops, oracle) -> ObservableRow:
 
 
 @contextmanager
-def _count_truncation_warnings(method: str):
-    """Fold the TruncationWarnings raised inside into one, which names the
-    method and counts them; other warnings pass through unchanged."""
+def _count_truncation_warnings(methods):
+    """Yields tally(method, result), which returns result and counts the
+    TruncationWarnings raised since the last tally as the method's.  On
+    leaving, other warnings pass through unchanged, then each count becomes
+    one warning that names its method; an error inside emits none."""
+    counts, others = dict.fromkeys(methods, 0), []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        yield
-    count = 0
-    for w in caught:
-        if issubclass(w.category, TruncationWarning):
-            count += 1
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if count:
-        warnings.warn(f"{method} raised {count} truncation warning"
-                      f"{'s' if count > 1 else ''}: the top {GUARD_LEVELS} Fock levels "
-                      f"hold more than {GUARD_TOL:.0e}; increase dim",
-                      TruncationWarning, stacklevel=3)
+
+        def tally(method, result):
+            counts[method] += sum(issubclass(w.category, TruncationWarning) for w in caught)
+            others.extend(w for w in caught if not issubclass(w.category, TruncationWarning))
+            caught.clear()
+            return result
+        yield tally
+    for w in others + caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    for method, count in counts.items():
+        if count:
+            warnings.warn(f"{method} raised {count} truncation warning"
+                          f"{'s' if count > 1 else ''}: the top {GUARD_LEVELS} Fock levels "
+                          f"hold more than {GUARD_TOL:.0e}; increase dim",
+                          TruncationWarning, stacklevel=3)
 
 
-def _single_shot(method: str, rho0: BlockDensity, ts, p: ModelParams, done: dict) -> list:
-    """The split method's propagator applied once to rho0 at each time in ts,
-    with no step bound.  Split3 is the commutator factor, guarded, on split2's
-    states when done (the methods run so far) holds them."""
-    if method == SPLIT3 and SPLIT2 in done:
-        out = [commutator_step(rho, float(t), p) for rho, t in zip(done[SPLIT2], ts)]
-        for rho in out:
-            warn_on_guard_occupation(rho)
-        return out
-    return [propagate(rho0, float(t), p, method, step_bound=math.inf) for t in ts]
+def _split_once(method: str, rho0: BlockDensity, t: float, p: ModelParams, split2) -> BlockDensity:
+    """The split method's propagator on rho0 at time t, with no step bound;
+    split3 is the commutator factor, guarded, on split2 (at t) when given."""
+    if method == SPLIT3 and split2 is not None:
+        rho = commutator_step(split2, t, p)
+        warn_on_guard_occupation(rho)
+        return rho
+    return propagate(rho0, t, p, method, step_bound=math.inf)
 
 
-def _method_trajectory(method: str, cfg: RunConfig, p: ModelParams,
-                       rho0: BlockDensity, ts: np.ndarray, done: dict) -> list:
-    """The states of one method at ts; done maps the methods run so far to theirs."""
-    if method in done:
-        return done[method]
+def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensity, ts, row):
+    """The states of one method other than oracle-expm at ts, one at a time;
+    row holds the states of the methods before it at the same time."""
     if method == ORACLE_RK4:
-        return oracle_trajectory(rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))[0]
-    if method == CLOSED_FORM:
-        return [example_solution(cfg.alpha, float(t), p) for t in ts]
-    if cfg.step_mode == SINGLE_SHOT:
+        rk4 = OracleConfig(OracleMethod.RK4, cfg.rk4_dt)
+        yield from (state for state, _ in oracle_states(rho0, ts, p, rk4))
+    elif method == CLOSED_FORM:
+        yield from (example_solution(cfg.alpha, float(t), p) for t in ts)
+    elif cfg.step_mode == SINGLE_SHOT:
         # The factored propagator at each grid time, the mode the closed forms
         # describe.  Its error grows with t * rate; _note_raised_bound says so.
-        return _single_shot(method, rho0, ts, p, done)
-    # stepping: compose short steps between grid points
-    h_max = cfg.max_step_scale / p.rate
-    out, cur = [rho0], rho0
-    for i in range(1, len(ts)):
-        seg = float(ts[i] - ts[i - 1])
-        n = step_count(seg, h_max, f"{method} stepping")
-        for _ in range(n):
-            cur = propagate(cur, seg / n, p, method, step_bound=math.inf)
-        out.append(cur)
-    return out
+        yield from (_split_once(method, rho0, float(t), p, row.get(SPLIT2)) for t in ts)
+    else:
+        # stepping: compose short steps between grid points
+        yield (cur := rho0)
+        for seg in map(float, np.diff(ts)):
+            n = step_count(seg, cfg.max_step_scale / p.rate, f"{method} stepping")
+            for _ in range(n):
+                cur = propagate(cur, seg / n, p, method, step_bound=math.inf)
+            yield cur
 
 
 def run_trajectory(cfg: RunConfig):
-    """Compute the full observable table.  Returns (column names, rows).
-
-    The TruncationWarnings of each method, and of the oracle grid as
-    oracle-expm, come out as one warning per method with their count."""
+    """(column names, rows) of the observable table, from one pass over the
+    grid that holds one state per method.  The TruncationWarnings of each
+    method, and of the oracle as oracle-expm, come out counted, one per method."""
     p = cfg.model_params()
     rho0 = initial_state(cfg)
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
-    with _count_truncation_warnings(ORACLE_EXPM):
-        warn_on_guard_occupation(rho0)   # the oracle column's t = 0 state
-        oracle_states, oracle_min_eigs = oracle_trajectory(rho0, ts, p)
-    trajectories = {ORACLE_EXPM: oracle_states}
-    for m in cfg.methods:
-        with _count_truncation_warnings(m):
-            trajectories[m] = _method_trajectory(m, cfg, p, rho0, ts, trajectories)
-
-    columns = ["t"]
-    for m in cfg.methods:
-        prefix = m.replace("-", "_")
-        columns.extend(f"{prefix}_{name}" for name in OBSERVABLE_NAMES)
+    columns = ["t"] + [f"{m.replace('-', '_')}_{name}"
+                       for m in cfg.methods for name in OBSERVABLE_NAMES]
     ops = (annihilation(p.dim), number(p.dim))
-    rows = []
-    for i, t in enumerate(ts):
-        oracle = (oracle_states[i], oracle_states[i].full(), oracle_min_eigs[i])
-        row = [float(t)]
-        for m in cfg.methods:
-            row.extend(observables(trajectories[m][i], ops, oracle).values())
-        rows.append(row)
+    rows, row = [], {}
+    with _count_truncation_warnings((ORACLE_EXPM, *cfg.methods)) as tally:
+        warn_on_guard_occupation(rho0)   # the oracle column's t = 0 state
+        oracle = oracle_states(rho0, ts, p)
+        streams = {m: _method_states(m, cfg, p, rho0, ts, row)
+                   for m in cfg.methods if m != ORACLE_EXPM}
+        for t in ts:
+            row.clear()
+            row[ORACLE_EXPM], min_eig = tally(ORACLE_EXPM, next(oracle))
+            for m, states in streams.items():
+                row[m] = tally(m, next(states))
+            ref = (row[ORACLE_EXPM], row[ORACLE_EXPM].full(), min_eig)
+            rows.append([float(t)] + [x for m in cfg.methods
+                                      for x in observables(row[m], ops, ref).values()])
     return columns, rows
 
 
@@ -447,19 +454,19 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list) -> Convergence
             or abs(ratios[0] - 1.0) < 1e-9:
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
-    with _count_truncation_warnings(ORACLE_EXPM):
-        states, _ = oracle_trajectory(rho0, [0.0, *sorted(h)], p)
-    exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
-    done = {}
-    for name in (SPLIT2, SPLIT3):
-        with _count_truncation_warnings(name):
-            done[name] = _single_shot(name, rho0, h, p, done)
-    errors = {name: tuple(trace_distance(rho.full(), exact[step]) for rho, step in zip(got, h))
-              for name, got in done.items()}
+    errors = {SPLIT2: [], SPLIT3: []}
+    with _count_truncation_warnings((ORACLE_EXPM, *errors)) as tally:
+        states, _ = tally(ORACLE_EXPM, oracle_trajectory(rho0, [0.0, *sorted(h)], p))
+        exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
+        for step in h:
+            row = {}
+            for name, errs in errors.items():
+                row[name] = tally(name, _split_once(name, rho0, step, p, row.get(SPLIT2)))
+                errs.append(trace_distance(row[name].full(), exact[step]))
     slopes = {name: None if max(errs) < 1e-12 else
               float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(errs)), 1)[0])
               for name, errs in errors.items()}
-    return ConvergenceResult(h=h, errors=errors, slopes=slopes)
+    return ConvergenceResult(h, {k: tuple(v) for k, v in errors.items()}, slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +688,7 @@ def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
 
 def _note_raised_bound(cfg: RunConfig) -> None:
     """One stderr line when single-shot mode lifts the step bound of the
-    split methods above DEFAULT_STEP_BOUND (see _method_trajectory)."""
+    split methods above DEFAULT_STEP_BOUND (see _method_states)."""
     reach = cfg.t_max * cfg.model_params().rate
     if (cfg.step_mode == SINGLE_SHOT and reach > DEFAULT_STEP_BOUND
             and any(m in SPLIT_METHODS for m in cfg.methods)):

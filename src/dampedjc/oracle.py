@@ -11,10 +11,10 @@ Two deliberately independent routes to the same flow:
   side written directly in d x d block algebra (never touching the
   superoperator code path).
 
-`oracle_trajectory` runs either route over a non-decreasing time grid, one
-integration per interval, each state vetted against the initial trace;
-`oracle_propagate` is its [0, t] case.  The CLI measures every method
-against the DENSE_EXPM grid, and its oracle-rk4 column is the RK4 grid.
+`oracle_states` runs either route lazily over a non-decreasing time grid, one
+integration per interval, each state vetted against the initial trace, and
+`oracle_trajectory` lists it.  The CLI measures every method against the
+DENSE_EXPM grid, and its oracle-rk4 column is the RK4 grid.
 
 Agreement between the two, and between them and the factored propagators,
 is the backbone of the test suite.  The module also provides a dense
@@ -36,6 +36,8 @@ from .errors import DomainError, NumericalError, ShapeError, StepError
 from .fock import annihilation, creation, number
 from .params import ModelParams
 from .superop import (
+    GUARD_LEVELS,
+    GUARD_TOL,
     BlockDensity,
     _taylor_action,
     build_generator,  # noqa: F401 -- perfbench/tracing.py wraps this binding
@@ -151,19 +153,21 @@ def _rk4_evolve(rho: BlockDensity, t: float, p: ModelParams, dt: float) -> Block
 
 
 def _vet(rho: BlockDensity, trace0: complex) -> float:
-    """NumericalError if rho is not finite; StepError unless its trace drift
-    from trace0, hermiticity defect and negativity stay below ORACLE_TOL.
-    Returns the smallest eigenvalue of the hermitized rho, from this check."""
+    """NumericalError if rho is not finite; StepError, naming a guard occupation
+    over GUARD_TOL, unless its trace drift from trace0, hermiticity defect and
+    negativity stay below ORACLE_TOL.  Returns rho's min_eig from this check."""
     if not np.isfinite(rho.blocks).all():
         raise NumericalError("oracle integration produced non-finite entries")
     rep = diagnostics(rho)
     drift = abs(rho.trace() - trace0)
     neg = max(0.0, -rep.min_eigenvalue)
     if max(drift, rep.hermiticity_defect, neg) > ORACLE_TOL:
+        guard = (f"; top {GUARD_LEVELS} Fock levels hold occupation {rep.guard_occupation:.3e}, "
+                 "increase dim" if rep.guard_occupation > GUARD_TOL else "")
         raise StepError(
             f"oracle result fails consistency checks: trace drift {drift:.3e}, "
             f"hermiticity defect {rep.hermiticity_defect:.3e}, negativity {neg:.3e} "
-            f"(tolerance {ORACLE_TOL:.1e})")
+            f"(tolerance {ORACLE_TOL:.1e}){guard}")
     return rep.min_eigenvalue
 
 
@@ -175,19 +179,19 @@ def oracle_propagate(rho0: BlockDensity, t: float, p: ModelParams,
     return oracle_trajectory(rho0, [0.0, t], p, cfg)[0][1]
 
 
-def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams,
-                      cfg: OracleConfig | None = None) -> tuple:
-    """Brute-force states on any non-decreasing grid ts, rho0 at ts[0], as
-    (states, min_eigs): one integration by cfg.method (default DENSE_EXPM)
-    per interval, from the previous state.  DENSE_EXPM builds the sparse
-    generator and its exact 1-norm once; an action's NumericalError names
-    the oracle and the time it steps to.  rho0 is returned as given, with
-    min_eig None.  Each later state is vetted against rho0's trace: its
-    trace drift, hermiticity defect and negativity must stay below
-    ORACLE_TOL, else StepError, and its min_eig is the one that check
-    solved.  Heavy occupation of the top Fock levels only warns
-    (TruncationWarning): it signals an undersized basis, not an integrator
-    failure."""
+def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams, cfg: OracleConfig | None = None):
+    """The states and min_eigs of oracle_states as two lists."""
+    return tuple(map(list, zip(*oracle_states(rho0, ts, p, cfg))))
+
+
+def oracle_states(rho0: BlockDensity, ts, p: ModelParams, cfg: OracleConfig | None = None):
+    """Brute-force (state, min_eig) on any non-decreasing grid ts, lazily: rho0
+    with min_eig None, then one integration by cfg.method (default
+    DENSE_EXPM) per interval from the last state, vetted by _vet against
+    rho0's trace, with the min_eig _vet solved.  The checks, and DENSE_EXPM's
+    sparse generator and 1-norm, come at the call.  An action's NumericalError
+    names the oracle and the time it steps to.  Heavy guard occupation only
+    warns (TruncationWarning): it signals an undersized basis."""
     cfg = cfg or OracleConfig()
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (np.diff(ts) >= 0).all()):
@@ -197,19 +201,22 @@ def oracle_trajectory(rho0: BlockDensity, ts, p: ModelParams,
     if cfg.method is OracleMethod.DENSE_EXPM:
         G = sparse_generator(p)
         norm = float(abs(G).sum(axis=0).max())
-    states, min_eigs = [rho0], [None]
-    for h, t in zip(np.diff(ts), ts[1:]):
-        if cfg.method is OracleMethod.RK4:
-            states.append(_rk4_evolve(states[-1], float(h), p, cfg.dt))
-        else:
-            try:
-                v = _taylor_action(G, norm, float(h), vectorize_blocks(states[-1]))
-            except NumericalError as e:
-                raise NumericalError(f"oracle cannot step to t = {t:g}: {e}") from None
-            states.append(devectorize_blocks(v, p.dim))
-        min_eigs.append(_vet(states[-1], rho0.trace()))
-        warn_on_guard_occupation(states[-1])
-    return states, min_eigs
+
+    def steps(cur):
+        yield cur, None
+        for h, t in zip(np.diff(ts), ts[1:]):
+            if cfg.method is OracleMethod.RK4:
+                cur = _rk4_evolve(cur, float(h), p, cfg.dt)
+            else:
+                try:
+                    v = _taylor_action(G, norm, float(h), vectorize_blocks(cur))
+                except NumericalError as e:
+                    raise NumericalError(f"oracle cannot step to t = {t:g}: {e}") from None
+                cur = devectorize_blocks(v, p.dim)
+            min_eig = _vet(cur, rho0.trace())
+            warn_on_guard_occupation(cur)
+            yield cur, min_eig
+    return steps(rho0)
 
 
 # ---------------------------------------------------------------------------

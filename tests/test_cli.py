@@ -166,6 +166,38 @@ def test_custom_state_file(tmp_path):
             load_state_file(str(bad), d)
 
 
+def test_main_refuses_a_state_file_that_is_not_a_density_matrix(tmp_path, capsys):
+    # the file's state is checked before any propagation, with the oracle's
+    # tolerance: a defect is a config error (exit 2) that names it, not an
+    # oracle failure (exit 4) on the first propagated state
+    d = 6
+
+    def diag(*entries):
+        return np.diag(np.array(entries + (0.0,) * (d - len(entries)), dtype=complex))
+
+    zero = np.zeros((d, d), dtype=complex)
+    cases = {
+        "hermiticity defect 4.000e-01": (diag(0.5), diag(0.4), zero, diag(0.5)),
+        "negativity 5.000e-01": (diag(1.5), zero, zero, diag(-0.5)),
+        "trace deviation 1.000e+00": (diag(1.0), zero, zero, diag(1.0)),
+        None: (diag(0.5), zero, zero, diag(0.5)),
+    }
+    path = tmp_path / "state.json"
+    for defect, blocks in cases.items():
+        path.write_text(json.dumps({"dim": d, "blocks": {
+            key: np.stack([m.real, m.imag], axis=-1).tolist()
+            for key, m in zip(("rho00", "rho01", "rho10", "rho11"), blocks)}}))
+        code = main(["--initial", "custom-file", "--initial-file", str(path), "--dim", str(d),
+                     "--alpha", "0", "--points", "3", "--tmax", "0.5"])
+        err = capsys.readouterr().err
+        if defect is None:
+            assert code == 0, err
+            continue
+        assert code == 2
+        assert err == (f"error: state file {path} is not a density matrix: {defect} "
+                       f"(tolerance 1.0e-06)\n")
+
+
 # ---------------------------------------------------------------------------
 # observables and trajectories
 
@@ -225,6 +257,20 @@ def test_oracle_trajectory_builds_no_dense_generator():
         tracemalloc.stop()
     assert len(rows) == cfg.points
     assert peak < 64 * 2**20
+
+
+def test_run_memory_does_not_grow_with_points():
+    # one pass over the grid holds one state per method: the README run at
+    # 401 points peaks at about 2 MiB, where holding every state took 44 MiB
+    cfg = RunConfig(points=401)
+    tracemalloc.start()
+    try:
+        _, rows = run_trajectory(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 401
+    assert peak < 8 * 2**20
 
 
 def test_oracle_rk4_column_is_the_rk4_trajectory():
@@ -591,6 +637,18 @@ def test_main_vets_the_oracle_grid(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_main_names_an_undersized_cutoff_when_the_oracle_fails(capsys):
+    # at dims 3 to 5 the pump leaks trace through the top level past the
+    # oracle's tolerance; the one error line says the guard levels are full
+    for d, occupation in ((3, "1.000e+00"), (4, "5.163e-02"), (5, "1.027e-02")):
+        assert main(["--dim", str(d), "--alpha", "0", "--points", "3", "--tmax", "0.5"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle result fails consistency checks: trace drift ")
+        assert err.endswith(f"; top 3 Fock levels hold occupation {occupation}, "
+                            f"increase dim\n")
+        assert err.count("\n") == 1
+
+
 def test_parser_dests_are_config_fields():
     # flags reach RunConfig by dest name, so a flag whose dest is not a
     # RunConfig field would be dropped without notice
@@ -636,6 +694,20 @@ def test_convergence_study_counts_truncation_warnings_per_method(capsys):
                if " raised " in line]
     assert counted == [f"{m} raised 3 truncation warnings"
                        for m in ("oracle-expm", "split2", "split3")]
+
+
+def test_stepping_counts_truncation_warnings_per_method(capsys):
+    # stepping and RK4 states are counted to their own method, in the order
+    # oracle-expm first and then the configured methods
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", TruncationWarning)
+        assert main(["--step-mode", "stepping", "--dim", "10", "--tmax", "1.0", "--points",
+                     "5", "--alpha=-0.3+0.2j", "--method", "oracle-rk4,split2,split3"]) == 0
+    counted = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()
+               if " raised " in line]
+    assert counted == [f"{m} raised {n} truncation warnings"
+                       for m, n in (("oracle-expm", 3), ("oracle-rk4", 3), ("split2", 7),
+                                    ("split3", 7))]
 
 
 def test_emit_plotscript(tmp_path):
