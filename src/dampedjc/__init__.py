@@ -23,7 +23,6 @@ from .fock import (
     coherent_tail_weight,
     cos_sqrt,
     creation,
-    func_of_number,
     number,
     sinc_sqrt,
 )

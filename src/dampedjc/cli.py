@@ -175,13 +175,15 @@ class RunConfig:
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float))
+_INT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, int))
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON), rejecting
     unknown keys and booleans, which no key takes (not even inside a list).
     alpha may be a number, a string like "0.9+0.3j", or a [re, im] pair;
-    methods may be a list or a comma-separated string."""
+    methods may be a list or a comma-separated string; an integer key may be
+    an integral float such as 12.0."""
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_KEYS)}")
@@ -194,8 +196,9 @@ def config_from_dict(data: dict) -> RunConfig:
         clean["alpha"] = _parse_complex(clean["alpha"])
     if "methods" in clean:
         clean["methods"] = _parse_methods(clean["methods"])
-    if "points" in clean and isinstance(clean["points"], float) and clean["points"].is_integer():
-        clean["points"] = int(clean["points"])
+    for key in _INT_KEYS:
+        if isinstance(clean.get(key), float) and clean[key].is_integer():
+            clean[key] = int(clean[key])
     for key in _FLOAT_KEYS:
         if key in clean:
             try:
@@ -245,6 +248,9 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def initial_state(cfg: RunConfig) -> BlockDensity:
+    """The configured rho(0).  vacuum-excited is example_solution at t = 0,
+    which writes that state; coherent-diagonal puts |alpha><alpha|/2 in both
+    diagonal blocks; custom-file must hold a density matrix."""
     d = cfg.dim
     kind = InitialKind(cfg.initial)
     if kind is InitialKind.CUSTOM_FILE:
@@ -257,13 +263,10 @@ def initial_state(cfg: RunConfig) -> BlockDensity:
                 raise ConfigError(f"state file {cfg.initial_path} is not a density matrix: "
                                   f"{defect} {size:.3e} (tolerance {ORACLE_TOL:.1e})")
         return rho
-    z = np.zeros((d, d), dtype=complex)
-    ket = coherent_state(cfg.alpha, d)
-    coh = 0.5 * np.outer(ket, ket.conj())
     if kind is InitialKind.VACUUM_EXCITED:
-        vac = np.zeros((d, d), dtype=complex)
-        vac[0, 0] = 0.5
-        return BlockDensity(vac, z, z, coh)
+        return example_solution(cfg.alpha, 0.0, cfg.model_params())
+    ket, z = coherent_state(cfg.alpha, d), np.zeros((d, d), dtype=complex)
+    coh = 0.5 * np.outer(ket, ket.conj())
     return BlockDensity(coh, z, z, coh)
 
 
@@ -485,17 +488,22 @@ def render_csv(columns, rows, comments) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def _write_output(text: str, out: str | None):
-    if out is None:
+def _emit(cfg: RunConfig, table, head, tail, **payload) -> None:
+    """Write the (columns, rows) table as CSV, or the payload as JSON, each
+    with the schema version and the config, to cfg.out or stdout.  head and
+    tail are the CSV comment lines before and after the config line."""
+    if cfg.format == JSON:
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), **payload},
+                          sort_keys=True) + "\n"
+    else:
+        text = render_csv(*table, [f"schema_version={SCHEMA_VERSION}", *head,
+                                   "config=" + json.dumps(cfg.to_dict(), sort_keys=True), *tail])
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {cfg.out}", file=sys.stderr)
 
 
 def emit_plotscript(csv_path: str, script_path: str) -> None:
@@ -628,33 +636,19 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
     with _truncation_warnings_as_lines():
         result = convergence_study(rho0, p, h_list)
 
-    names = [o for o in result.errors]
-    comments = [f"schema_version={SCHEMA_VERSION}", "study=convergence",
-                "config=" + json.dumps(cfg.to_dict(), sort_keys=True)]
-    for name in names:
+    def slope(name, fmt=float):   # an exact split has no slope
         s = result.slopes[name]
-        comments.append(f"slope_{name.replace('-', '_')}="
-                        + ("exact" if s is None else _format_float(s)))
-    if cfg.format == JSON:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "study": "convergence",
-            "config": cfg.to_dict(),
-            "h": list(result.h),
-            "errors": {k: list(v) for k, v in result.errors.items()},
-            "slopes": {k: ("exact" if v is None else v)
-                       for k, v in result.slopes.items()},
-        }
-        _write_output(render_json(payload), cfg.out)
-    else:
-        columns = ["h"] + [f"{n.replace('-', '_')}_err" for n in names]
-        rows = [[result.h[i]] + [result.errors[n][i] for n in names]
-                for i in range(len(result.h))]
-        _write_output(render_csv(columns, rows, comments), cfg.out)
+        return "exact" if s is None else fmt(s)
+
+    names = list(result.errors)
+    columns = ["h"] + [f"{n.replace('-', '_')}_err" for n in names]
+    rows = [[h] + [result.errors[n][i] for n in names] for i, h in enumerate(result.h)]
+    _emit(cfg, (columns, rows), ["study=convergence"],
+          [f"slope_{n.replace('-', '_')}={slope(n, _format_float)}" for n in names],
+          study="convergence", h=list(result.h), slopes={n: slope(n) for n in names},
+          errors={k: list(v) for k, v in result.errors.items()})
     for name in names:
-        s = result.slopes[name]
-        print(f"{name}: slope " + ("exact" if s is None else f"{s:.3f}"),
-              file=sys.stderr)
+        print(f"{name}: slope {slope(name, '{:.3f}'.format)}", file=sys.stderr)
     return 0
 
 
@@ -704,18 +698,7 @@ def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
         columns, rows = run_trajectory(cfg)
     _note_raised_bound(cfg)
     _warn_unphysical(cfg, columns, rows)
-    if cfg.format == JSON:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "columns": columns,
-            "rows": rows,
-        }
-        _write_output(render_json(payload), cfg.out)
-    else:
-        comments = [f"schema_version={SCHEMA_VERSION}",
-                    "config=" + json.dumps(cfg.to_dict(), sort_keys=True)]
-        _write_output(render_csv(columns, rows, comments), cfg.out)
+    _emit(cfg, (columns, rows), [], [], columns=columns, rows=rows)
     if plotscript:
         emit_plotscript(cfg.out, plotscript)
         print(f"wrote {plotscript}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -78,41 +77,27 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def number_values(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
-    """f(n + shift) for n = 0..dim-1; shift in {0, 1} selects N or N+1.
-
-    f is called once, on the integer array n + shift, and must work
-    elementwise (numpy ufuncs); a scalar result is broadcast to every level.
-    Since f sees integers only, operator identities such as
-    a f(N) = f(N+1) a hold exactly on the retained levels."""
-    dim = _check_dim(dim)
-    if shift not in (0, 1):
-        raise DomainError(f"shift must be 0 or 1, got {shift!r}")
-    values = np.asarray(f(np.arange(shift, dim + shift)), dtype=complex)
+def _finite(values: np.ndarray, x: float) -> np.ndarray:
+    values = values.astype(complex)
     if not np.all(np.isfinite(values)):
-        raise DomainError("number_values: f returned non-finite values")
-    return np.broadcast_to(values, (dim,))
-
-
-def func_of_number(f: Callable, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(number_values(f, dim, shift)), e.g. cos(x sqrt(N+1))."""
-    return np.diag(number_values(f, dim, shift))
+        raise DomainError(f"cos/sinc of x sqrt(N) is not finite at x = {x!r}")
+    return values
 
 
 def cos_sqrt_values(x: float, dim: int, shift: int = 0) -> np.ndarray:
-    """cos(x sqrt(n + shift)) for n = 0..dim-1."""
-    return number_values(lambda n: np.cos(x * np.sqrt(n)), dim, shift)
+    """cos(x sqrt(n + shift)) for n = 0..dim-1.  Only the integers n + shift
+    enter, so a f(N) = f(N+1) a holds exactly on the retained levels, here
+    and for sinc_sqrt_values."""
+    n = np.arange(shift, _check_dim(dim) + shift)
+    return _finite(np.cos(x * np.sqrt(n)), x)
 
 
 def sinc_sqrt_values(x: float, dim: int, shift: int = 0) -> np.ndarray:
     """sin(x sqrt(n + shift)) / sqrt(n + shift) for n = 0..dim-1, with the
     n+shift = 0 entry set to its analytic limit x (sin(x s)/s -> x as s -> 0)."""
-
-    def f(n):
-        r = np.sqrt(np.maximum(n, 1))
-        return np.where(n == 0, x, np.sin(x * r) / r)
-
-    return number_values(f, dim, shift)
+    n = np.arange(shift, _check_dim(dim) + shift)
+    r = np.sqrt(np.maximum(n, 1))
+    return _finite(np.where(n == 0, x, np.sin(x * r) / r), x)
 
 
 def cos_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:

@@ -341,7 +341,7 @@ def _taylor_action(G, norm: float, c: complex, V: np.ndarray) -> np.ndarray:
         raise NumericalError(f"exponent |c| ||G||_1 = {x} is not finite")
     s = max(1, math.ceil(x / TAYLOR_SUBSTEP_NORM))
     if s > TAYLOR_MAX_SUBSTEPS:
-        raise NumericalError(f"action needs {s} substeps, more than the "
+        raise NumericalError(f"action needs {s:.17g} substeps, more than the "
                              f"{TAYLOR_MAX_SUBSTEPS} allowed")
     m = 0
     while (x / s) ** (m + 1) / math.factorial(m + 1) * math.exp(x / s) > 2.0 ** -53:

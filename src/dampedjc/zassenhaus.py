@@ -126,7 +126,6 @@ def assemble_commutator(blocks: CommutatorBlocks, p: ModelParams) -> np.ndarray:
 # the three exponential factors
 
 
-@lru_cache(maxsize=8)
 def _coupling_diagonals(t: float, p: ModelParams):
     """The nonzero diagonals of U = exp(-i Omega t [[0,a],[a+,0]]), the
     2x2 nest of d x d blocks
@@ -135,23 +134,22 @@ def _coupling_diagonals(t: float, p: ModelParams):
              [-i sinc(c rN) a+,  cos(c rN)]]
 
     with c = Omega t, rP = sqrt(N+1), rN = sqrt(N), sinc(c r) = sin(c r)/r.
-    Returns (cos_p, cos_n, up, down), read-only: the diagonals of the two
-    diagonal blocks, the superdiagonal of the (0,1) block and the
-    subdiagonal of the (1,0) block.  e^{tY} is the conjugation
-    rho -> U rho U+.  Cached per (t, params), like tau_series' operators.
+    Returns (cos_p, cos_n, up, down): the diagonals of the two diagonal
+    blocks, the superdiagonal of the (0,1) block and the subdiagonal of the
+    (1,0) block.  e^{tY} is the conjugation rho -> U rho U+.  Not cached:
+    propagate reaches it through the cache of `_coupling_operators`.
     """
     d = p.dim
     c = p.Omega * t
     cos = cos_sqrt_values(c, d + 1)   # at N = 0 .. d: cos_p is cos[1:], cos_n cos[:-1]
     # a[i, i+1] = a+[i+1, i] = sqrt(i+1): the (0,1) and (1,0) diagonals are equal
     off = -1j * sinc_sqrt_values(c, d + 1)[1:d] * np.sqrt(np.arange(1.0, d))
-    off.flags.writeable = False   # cos is a read-only broadcast view
     return cos[1:], cos[:-1], off, off
 
 
 def _coupling_blocks(t: float, p: ModelParams):
     """U of `_coupling_diagonals` as a 2x2 nest of dense d x d blocks."""
-    cos_p, cos_n, up, down = _coupling_diagonals(float(t), p)
+    cos_p, cos_n, up, down = _coupling_diagonals(t, p)
     return [[np.diag(cos_p), np.diag(up, 1)],
             [np.diag(down, -1), np.diag(cos_n)]]
 
@@ -305,7 +303,8 @@ def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:
 
     with cP = cos(c sqrt(N+1)), sP = sinc-type sin(c sqrt(N+1))/sqrt(N+1),
     cN, sN the same at N, c = Omega t.  Independent of propagate(): used to
-    cross-check the generic pipeline.
+    cross-check the generic pipeline.  At t = 0 it is rho(0) itself, the one
+    writing of that state; the CLI's vacuum-excited initial state is this.
     """
     d = p.dim
     ket = coherent_state(alpha, d)

@@ -80,10 +80,11 @@ def test_config_defaults_valid():
 
 def test_config_from_dict_forms():
     cfg = config_from_dict({"alpha": "0.3+0.1j", "methods": "split2,oracle-expm",
-                            "points": 5.0})
+                            "points": 5.0, "dim": 12.0})
     assert cfg.alpha == 0.3 + 0.1j
     assert cfg.methods == ("split2", "oracle-expm")
-    assert cfg.points == 5
+    assert (cfg.points, cfg.dim) == (5, 12)
+    assert type(cfg.dim) is int
     assert config_from_dict({"alpha": [1.0, -0.5]}).alpha == 1.0 - 0.5j
     assert config_from_dict({"alpha": 0.7}).alpha == 0.7 + 0j
     assert config_from_dict({"methods": "split2, "}).methods == ("split2",)
@@ -536,7 +537,7 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "initial_state", lambda *a: pytest.fail("work started"))
         for data in ({"out": 1}, {"out": 7}, {"initial": "custom-file", "initial_path": 3},
-                     {"pad": True}, {"alpha": True}, {"t_max": True}):
+                     {"pad": True}, {"alpha": True}, {"t_max": True}, {"dim": 12.5}):
             bad.write_text(json.dumps(data))
             assert main(["--config", str(bad)]) == 2, data
             captured = capsys.readouterr()
@@ -560,6 +561,11 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "oracle" in err
+    # mu = 1e300 asks for about 2.25e300 substeps: 17 digits, not all 301 of them
+    assert main(["--dim", "10", "--points", "3", "--mu", "1e300", "--alpha", "0.3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle cannot step to t = 1: action needs 2.25")
+    assert err.count("\n") == 1 and len(err) < 200
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

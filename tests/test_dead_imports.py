@@ -1,0 +1,54 @@
+"""Every module-level import of a dampedjc module is used in that module.
+
+No linter runs on this repository, so an import left behind by a deleted
+code path would otherwise stay.  The only bindings exempt are those that
+perfbench/tracing.py wraps in a module (its LAYERS), which must stay bound
+there although the module may not call them; LAYERS is read from the file,
+nothing is installed.
+"""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dampedjc"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _traced_bindings(monkeypatch) -> set:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)   # for its dataclass
+    spec.loader.exec_module(tracing)
+    return {(module, attr) for _, attr, modules, _ in tracing.LAYERS for module in modules}
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_finds_a_dead_binding():
+    source = "import math\nimport os.path\nfrom json import dumps as d, loads\nx = loads(os)\n"
+    assert _unused_imports(source) == [(1, "math"), (3, "d")]
+
+
+def test_no_module_keeps_an_unused_import(monkeypatch):
+    traced = _traced_bindings(monkeypatch)
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    dead = [f"{path.name}:{line}: {name}"
+            for path in modules
+            for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+            if (path.stem, name) not in traced]
+    assert dead == [], "unused imports: " + ", ".join(dead)
