@@ -8,7 +8,8 @@ su(1,1) disentangling:
 
 with scalar functions E(t), F(t), G(t) of the rates alone.  K+ and K- are
 nilpotent at finite cutoff, so the outer factors are finite polynomial sums
-and the middle factor is diagonal: no matrix exponential is needed.
+and the middle factor is diagonal: no matrix exponential is needed.  The
+flows of |0><0| and |alpha><alpha| are written entry by entry in G alone.
 
 E, F, G are evaluated in a tanh/log1p form that stays finite for large t
 (the cosh/sinh forms overflow near (mu-nu)t ~ 1400):
@@ -29,10 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError
-from .fock import annihilation, coherent_state, creation, number
+from .fock import coherent_state
 from .params import ModelParams
 from .superop import k_generators
 
@@ -213,33 +213,31 @@ def vacuum_solution(t: float, p: ModelParams) -> np.ndarray:
 
 
 def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
-    """Diagonal flow of |alpha><alpha|:
-
-        (1-G) e^{|alpha|^2 e^{-(mu-nu)t} log G}
-            exp(-log G {beta a+ + conj(beta) a - N}),
-        beta = alpha e^{-((mu-nu)/2 + i w0) t}.
-
-    The formula degenerates at t=0 or nu=0 (log G -> -inf), and at a tiny
-    t > 0 where G underflows to 0: all are rejected; use the initial state
-    itself or tau_series there.
+    """Diagonal flow of |alpha><alpha|: the displaced thermal state
+    (1-G) D(beta) G^N D(beta)+, beta = alpha e^{-((mu-nu)/2 + i w0) t}, entry
+    by entry (Cahill & Glauber, Phys. Rev. 177, 1882 (1969)).  rho[n, n+k] =
+    (1-G) e^{-(1-G)|beta|^2} (conj(beta) (1-G))^k / sqrt(k!) u_n, where u_n =
+    sqrt(n! k!/(n+k)!) G^n L_n^(k)(-(1-G)^2 |beta|^2 / G) follows the Laguerre
+    recurrence in n.  These are the full |alpha>'s flow on the retained
+    levels; G = 0 (t = 0, nu = 0, or a tiny t) gives |beta><beta|.
     """
-    if not (t > 0):
-        raise DomainError(f"coherent_solution requires t > 0, got {t} "
-                          "(log G diverges at t=0)")
-    if p.nu == 0:
-        raise DomainError("coherent_solution requires nu > 0 (log G diverges); "
-                          "use tau_series for pure damping")
-    # same cutoff adequacy requirement as building |alpha> itself
-    coherent_state(alpha, p.dim)
-
-    g = efg(t, p)
-    if not (g.G > 0):
-        raise DomainError(f"coherent_solution: G underflows to 0 at t={t} "
-                          "(log G diverges)")
-    log_G = math.log(g.G)
+    coherent_state(alpha, p.dim)   # the cutoff must hold |alpha> itself
+    G, d = efg(t, p).G, p.dim
     beta = alpha * np.exp(-((p.mu - p.nu) / 2 + 1j * p.omega0) * t)
-    braces = (beta * creation(p.dim)
-              + np.conj(beta) * annihilation(p.dim)
-              - number(p.dim))
-    prefactor = (1 - g.G) * math.exp(abs(alpha) ** 2 * math.exp(-(p.mu - p.nu) * t) * log_G)
-    return prefactor * expm(-log_G * braces)
+    nb = abs(beta) ** 2 * (1 - G)
+    k = np.arange(d)
+    n = k[:, None]
+    # (n+1) P_{n+1} = (G (2n+1+k) + (1-G) nb) P_n - G^2 (n+k) P_{n-1} for
+    # P_n = G^n L_n^(k)(...), rewritten for u_n = sqrt(n! k!/(n+k)!) P_n
+    scale = 1 / np.sqrt((n + 1) * (n + 1 + k))
+    step = (G * (2 * n + 1 + k) + (1 - G) * nb) * scale
+    back = G * G * np.sqrt(n * (n + k)) * scale
+    u = np.zeros((d + 1, d))   # row n + 1 holds u_n
+    u[1] = 1.0
+    for i in range(1, d):
+        u[i + 1] = step[i - 1] * u[i] - back[i - 1] * u[i - 1]
+    c = np.cumprod(np.concatenate(([1.0], np.conj(beta) * (1 - G) / np.sqrt(k[1:]))))
+    skewed = np.zeros((d, 2 * d), dtype=complex)   # column k + d - 1: diagonal k
+    skewed[:, d - 1:-1] = (1 - G) * math.exp(-nb) * c * u[1:]
+    upper = _unskew(skewed)
+    return upper + np.triu(upper, 1).conj().T

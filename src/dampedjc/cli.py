@@ -115,7 +115,7 @@ class RunConfig:
     format: str = CSV
     step_mode: str = SINGLE_SHOT
     max_step_scale: float = 0.1      # stepping mode: h <= scale / max rate
-    rk4_dt: float = 1e-3
+    rk4_dt: float = OracleConfig.dt
 
     def __post_init__(self):
         if self.format not in FORMATS:

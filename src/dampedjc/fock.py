@@ -46,11 +46,14 @@ def coherent_tail_weight(alpha: complex, dim: int) -> float:
     """Poisson weight the cutoff discards: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n!."""
     dim = _check_dim(dim)
     lam = abs(alpha) ** 2
-    # complement of the retained Poisson mass, accumulated term by term
+    # complement of the retained Poisson mass, accumulated term by term up to a
+    # zero term, or past n = lam (terms shrink there) one the sum cannot hold
     term = math.exp(-lam)
     retained = term
     for n in range(1, dim):
         term *= lam / n
+        if term == 0 or n > lam and retained + term == retained:
+            break
         retained += term
     return max(0.0, 1.0 - retained)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParamError
@@ -61,6 +62,9 @@ class ModelParams:
             raise ParamError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 2:
             raise ParamError(f"dim must be >= 2, got {self.dim}")
+        if self.dim > math.isqrt(sys.maxsize // 4):
+            raise ParamError(f"dim must be <= {math.isqrt(sys.maxsize // 4)}, so that "
+                             f"the state's 4 dim^2 entries can be indexed, got {self.dim}")
 
     @property
     def rate(self) -> float:

@@ -525,6 +525,11 @@ def test_main_exit_codes(tmp_path, capsys):
     bad_alpha = tmp_path / "alpha.json"
     bad_alpha.write_text(json.dumps({"alpha": [1, "x"]}))
     assert main(["--config", str(bad_alpha)]) == 2
+    # a cutoff too large to index is one error line, before any work
+    capsys.readouterr()
+    assert main(["--dim", str(2 ** 63), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim must be <= ") and err.count("\n") == 1
     # coherent state does not fit the requested cutoff
     assert main(["--dim", "8", "--alpha", "2.0", "--points", "3",
                  "--out", str(out)]) == 3
@@ -545,10 +550,15 @@ def test_main_exit_codes(tmp_path, capsys):
             assert captured.err.count("\n") == 1, data
         assert main(["--method", ""]) == 2
         assert capsys.readouterr().err.startswith("error: at least one method is needed")
-    # closed form at a t > 0 so tiny that G underflows to 0
-    assert main(["--dim", "8", "--tmax", "5e-324", "--points", "2",
-                 "--method", "closed-form-example", "--alpha", "0.1",
-                 "--out", str(out)]) == 2
+    # closed form where G is 0: at a t > 0 so tiny that G underflows, and at nu = 0
+    for extra in (["--tmax", "5e-324"], ["--nu", "0"]):
+        assert main(["--dim", "8", "--points", "2", "--method", "split2,closed-form-example",
+                     "--alpha", "0.1", "--out", str(out), *extra]) == 0, extra
+        _, header, rows = read_csv(out)
+        closed = [i for i, name in enumerate(header) if name.startswith("closed_form_example_")]
+        split2 = [header.index(header[i].replace("closed_form_example_", "split2_"))
+                  for i in closed]
+        assert closed and np.abs(rows[:, closed] - rows[:, split2]).max() <= 1e-13, extra
     # t so large that the oracle's action would need too many substeps
     capsys.readouterr()
     assert main(["--dim", "16", "--tmax", "1e200", "--points", "2",

@@ -4,7 +4,8 @@ No linter runs on this repository, so an import left behind by a deleted
 code path would otherwise stay.  The only bindings exempt are those that
 perfbench/tracing.py wraps in a module (its LAYERS), which must stay bound
 there although the module may not call them; LAYERS is read from the file,
-nothing is installed.
+nothing is installed.  The closed forms and the modules under them import
+nothing from scipy.
 """
 
 import ast
@@ -25,17 +26,28 @@ def _traced_bindings(monkeypatch) -> set:
     return {(module, attr) for _, attr, modules, _ in tracing.LAYERS for module in modules}
 
 
+def _imports(tree: ast.Module) -> list:
+    """(line, module, bound name) of each module-level import but __future__'s."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, "." * node.level + (node.module or ""), a.asname or a.name)
+                    for a in node.names]
+    return out
+
+
 def _unused_imports(source: str) -> list:
     tree = ast.parse(source)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    imported = {name: line for line, _, name in _imports(tree)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _scipy_imports(source: str) -> list:
+    return [(line, module) for line, module, _ in _imports(ast.parse(source))
+            if module.split(".")[0] == "scipy"]
 
 
 def test_unused_imports_finds_a_dead_binding():
@@ -52,3 +64,12 @@ def test_no_module_keeps_an_unused_import(monkeypatch):
             for line, name in _unused_imports(path.read_text(encoding="utf-8"))
             if (path.stem, name) not in traced]
     assert dead == [], "unused imports: " + ", ".join(dead)
+
+
+def test_core_modules_import_no_scipy():
+    # the closed forms, Fock states, parameters and errors run on numpy alone
+    assert _scipy_imports("import scipy.sparse as sp\nfrom .fock import x\n"
+                          "from scipy.linalg import expm\n") == [(1, "scipy.sparse"),
+                                                                  (3, "scipy.linalg")]
+    for name in ("analytic.py", "errors.py", "fock.py", "params.py"):
+        assert _scipy_imports((PACKAGE / name).read_text(encoding="utf-8")) == [], name

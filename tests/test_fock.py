@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy.stats import poisson
 
 from dampedjc import (
     DomainError,
+    ModelParams,
+    ParamError,
     TruncationError,
     annihilation,
     coherent_state,
@@ -87,6 +90,19 @@ def test_coherent_tail_weight_matches_poisson_sf():
         got = coherent_tail_weight(alpha, d)
         want = float(poisson.sf(d - 1, abs(alpha) ** 2))
         assert abs(got - want) < 1e-12
+
+
+def test_huge_cutoffs_end_before_work():
+    # the tail sum stops once its terms no longer count, with the same bits
+    for alpha in (0.0, 0.5, 3.0 - 1.0j, 30.0):
+        assert coherent_tail_weight(alpha, 2 ** 63) == coherent_tail_weight(alpha, 2000)
+    # a cutoff whose 4 dim^2 state entries numpy cannot index is refused
+    largest = math.isqrt(sys.maxsize // 4)
+    assert 4 * largest ** 2 <= sys.maxsize < 4 * (largest + 1) ** 2
+    ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=largest)
+    for dim in (largest + 1, 2 ** 63):
+        with pytest.raises(ParamError, match="dim must be <="):
+            ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=dim)
 
 
 def test_coherent_state_rejects_small_cutoff():

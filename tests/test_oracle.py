@@ -190,7 +190,7 @@ def test_rk4_refuses_steps_over_budget(monkeypatch):
     # dt = 1e-300 asks for 5e299 RK4 steps, a loop that never ended: refused
     # against TAYLOR_MAX_SUBSTEPS, the Taylor action's budget, before any step
     calls = []
-    monkeypatch.setattr(oracle, "master_rhs", lambda *args: calls.append(args))
+    monkeypatch.setattr(oracle, "_rhs", lambda *args: calls.append(args))
     cfg = OracleConfig(method=OracleMethod.RK4, dt=1e-300)
     with pytest.raises(NumericalError, match=r"oracle rk4 needs 5e\+299 steps .* "
                                              rf"{TAYLOR_MAX_SUBSTEPS} allowed"):
