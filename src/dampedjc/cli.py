@@ -1,13 +1,13 @@
 """Command-line harness: observable trajectories and convergence studies.
 
 Runs one or more propagation methods in one pass over a shared time grid,
-holding one state per method, records a fixed set of observables per method
-per time, and writes CSV (default) or JSON.  Output is deterministic
-byte-for-byte for a given config: fixed float formatting and sorted config
-embedding.  A method whose states turn unphysical (negative eigenvalues) is
-reported by a warning on stderr, and so is single-shot mode lifting the
-split methods' step bound (a note).  The TruncationWarnings of each method
-are counted into one warning line.
+in blocks of BLOCK grid times that hold BLOCK states per method, records a
+fixed set of observables per method per time, and writes CSV (default) or
+JSON.  Output is deterministic byte-for-byte for a given config: fixed float
+formatting and sorted config embedding.  A method whose states turn
+unphysical (negative eigenvalues) is reported by a warning on stderr, and so
+is single-shot mode lifting the split methods' step bound (a note).  The
+TruncationWarnings of each method are counted into one warning line.
 
 Exit codes: 0 success; 2 bad usage/config/parameters, missing files or a
 state file that is not a density matrix;
@@ -59,6 +59,7 @@ from .zassenhaus import (
 
 SCHEMA_VERSION = 1
 MIN_EIG_TOL = 1e-10   # min_eig below -MIN_EIG_TOL draws a warning
+BLOCK = 8   # grid times per block of run_trajectory's pass
 
 ORACLE_EXPM = "oracle-expm"
 ORACLE_RK4 = "oracle-rk4"
@@ -176,6 +177,8 @@ class RunConfig:
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float))
 _INT_KEYS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, int))
+# the trajectory settings, which the convergence study does not read
+_STUDY_IGNORES = ("methods", "max_step_scale", "points", "rk4_dt", "step_mode", "t_max")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -373,9 +376,10 @@ def _split_once(method: str, rho0: BlockDensity, t: float, p: ModelParams, split
     return propagate(rho0, t, p, method, step_bound=math.inf)
 
 
-def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensity, ts, row):
+def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensity, ts, block):
     """The states of one method other than oracle-expm at ts, one at a time;
-    row holds the states of the methods before it at the same time."""
+    block holds the states of the methods before it in the current block of
+    BLOCK grid times (ts[i] is at index i % BLOCK)."""
     if method == ORACLE_RK4:
         rk4 = OracleConfig(OracleMethod.RK4, cfg.rk4_dt)
         yield from (state for state, _ in oracle_states(rho0, ts, p, rk4))
@@ -384,7 +388,9 @@ def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensi
     elif cfg.step_mode == SINGLE_SHOT:
         # The factored propagator at each grid time, the mode the closed forms
         # describe.  Its error grows with t * rate; _note_raised_bound says so.
-        yield from (_split_once(method, rho0, float(t), p, row.get(SPLIT2)) for t in ts)
+        for i, t in enumerate(map(float, ts)):
+            split2 = block.get(SPLIT2)
+            yield _split_once(method, rho0, t, p, split2 and split2[i % BLOCK])
     else:
         # stepping: compose short steps between grid points
         yield (cur := rho0)
@@ -397,28 +403,34 @@ def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensi
 
 def run_trajectory(cfg: RunConfig):
     """(column names, rows) of the observable table, from one pass over the
-    grid that holds one state per method.  The TruncationWarnings of each
-    method, and of the oracle as oracle-expm, come out counted, one per method."""
+    grid in blocks of BLOCK grid times: the oracle's states of a block, then
+    each method's in method order, then the block's rows.  So a run holds
+    BLOCK states per method, and each method's operators stay in cache
+    through its block.  The TruncationWarnings of each method, and of the
+    oracle as oracle-expm, come out counted, one per method."""
     p = cfg.model_params()
     rho0 = initial_state(cfg)
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
     columns = ["t"] + [f"{m.replace('-', '_')}_{name}"
                        for m in cfg.methods for name in OBSERVABLE_NAMES]
     ops = (annihilation(p.dim), number(p.dim))
-    rows, row = [], {}
+    rows, block = [], {}
     with _count_truncation_warnings((ORACLE_EXPM, *cfg.methods)) as tally:
         warn_on_guard_occupation(rho0)   # the oracle column's t = 0 state
         oracle = oracle_states(rho0, ts, p)
-        streams = {m: _method_states(m, cfg, p, rho0, ts, row)
+        streams = {m: _method_states(m, cfg, p, rho0, ts, block)
                    for m in cfg.methods if m != ORACLE_EXPM}
-        for t in ts:
-            row.clear()
-            row[ORACLE_EXPM], min_eig = tally(ORACLE_EXPM, next(oracle))
+        for start in range(0, len(ts), BLOCK):
+            times = ts[start:start + BLOCK]
+            block.clear()
+            refs = [tally(ORACLE_EXPM, next(oracle)) for _ in times]
+            block[ORACLE_EXPM] = [rho for rho, _ in refs]
             for m, states in streams.items():
-                row[m] = tally(m, next(states))
-            ref = (row[ORACLE_EXPM], row[ORACLE_EXPM].full(), min_eig)
-            rows.append([float(t)] + [x for m in cfg.methods
-                                      for x in observables(row[m], ops, ref).values()])
+                block[m] = [tally(m, next(states)) for _ in times]
+            for i, (t, (rho, min_eig)) in enumerate(zip(times, refs)):
+                ref = (rho, rho.full(), min_eig)
+                rows.append([float(t)] + [x for m in cfg.methods
+                                          for x in observables(block[m][i], ops, ref).values()])
     return columns, rows
 
 
@@ -625,6 +637,10 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
+    ignored = [k for k in _STUDY_IGNORES if getattr(cfg, k) != getattr(RunConfig, k)]
+    if ignored:   # they would be embedded in the output's config as if used
+        raise ConfigError(f"--study convergence ignores config keys {ignored}; "
+                          f"leave them at their defaults")
     if not h_list_arg:
         raise ConfigError("--study convergence requires --h-list")
     try:

@@ -45,7 +45,7 @@ def number(dim: int) -> np.ndarray:
 def coherent_tail_weight(alpha: complex, dim: int) -> float:
     """Poisson weight the cutoff discards: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n!."""
     dim = _check_dim(dim)
-    lam = abs(alpha) ** 2
+    lam = min(abs(alpha), 1e150) ** 2   # finite: ** 2 raises past ~1.3e154, and 0 * inf is nan
     # complement of the retained Poisson mass, accumulated term by term up to a
     # zero term, or past n = lam (terms shrink there) one the sum cannot hold
     term = math.exp(-lam)

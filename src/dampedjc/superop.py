@@ -376,17 +376,19 @@ class _FloatBands:
     the complex product's bits (up to signs of zero)."""
 
     def __init__(self, data: np.ndarray, offsets, shape=None):
-        rows = []   # (float offset, band, factor): the row's (even, odd) pairs are factor * band
-        for o, band in zip(offsets, data):
-            if band.imag.any():   # ib -> (0, -b) at 2o+1 and (b, 0) at 2o-1
-                rows += [(2 * o + 1, band, -1), (2 * o - 1, band, -1j)]
-            else:                 # a -> (a, a) at 2o
-                rows.append((2 * o, band, 1 + 1j))
-        pairs = np.empty((len(rows),) + (shape or data.shape[1:]), complex)
-        for out, (_, band, factor) in zip(pairs, rows):
-            np.multiply(band, factor, out=out)
+        imag = data.imag.reshape(len(data), -1).any(1)
+        pairs, rows = np.zeros((len(data) + imag.sum(),) + data.shape[1:], complex), []
+        for o, band, im in zip(offsets, data, imag):   # each row's (even, odd) float pairs
+            if im:   # ib -> (0, -b) at 2o+1 and (b, 0) at 2o-1
+                pairs[len(rows)].imag, pairs[len(rows) + 1].real = -band.imag, band.imag
+                rows += [2 * o + 1, 2 * o - 1]
+            else:    # a -> (a, a) at 2o
+                pairs[len(rows)].real = pairs[len(rows)].imag = band.real
+                rows.append(2 * o)
+        if shape:   # pairs at the bands' own size: one broadcast copy to full length
+            pairs = np.broadcast_to(pairs, (len(rows),) + shape).copy()
         pairs = pairs.reshape(len(rows), -1).view(float)
-        self.dia = sp.dia_matrix((pairs, [o for o, _, _ in rows]), shape=(pairs.shape[1],) * 2)
+        self.dia = sp.dia_matrix((pairs, rows), shape=(pairs.shape[1],) * 2)
         self.dia.data.flags.writeable = False
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:

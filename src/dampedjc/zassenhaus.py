@@ -161,11 +161,10 @@ def _coupling_operators(t: float, p: ModelParams):
     entry per (t, params): stepping reuses one t, single shot none."""
     cos_p, cos_n, up, down = _coupling_diagonals(t, p)
     d, q, zero = p.dim, p.dim ** 2, np.zeros(p.dim)
-    # band values by column (DIA layout): U's by its (i, m), U+'s by its (j, n)
+    # band values by column (i, j, m, n) (DIA layout): U's by its (i, m), U+'s by its (j, n)
     bands = np.array([[cos_p, cos_n], [zero, np.append(0, up)], [np.append(down, 0), zero]])
-    left, right = np.repeat(bands, d, axis=2)[:, :, None], np.tile(bands.conj(), d)[:, None]
-    return (_FloatBands(left, [0, 2 * q + d, -2 * q - d], (2, 2, q)),
-            _FloatBands(right, [0, q + 1, -q - 1], (2, 2, q)))
+    return (_FloatBands(bands[:, :, None, :, None], [0, 2 * q + d, -2 * q - d], (2, 2, d, d)),
+            _FloatBands(bands.conj()[:, None, :, None], [0, q + 1, -q - 1], (2, 2, d, d)))
 
 
 def exp_Y(t: float, p: ModelParams) -> np.ndarray:

@@ -30,6 +30,7 @@ from dampedjc import (
     coherent_state,
     convergence_study,
     emit_plotscript,
+    example_solution,
     number,
     propagate,
     run_trajectory,
@@ -43,7 +44,8 @@ from dampedjc.cli import (
     main,
     observables,
 )
-from dampedjc.superop import build_generator, sparse_generator, vectorize_blocks
+from dampedjc.superop import (build_generator, sparse_generator, step_count, vectorize_blocks,
+                              warn_on_guard_occupation)
 
 
 # fixtures here run deliberately small cutoffs to keep the suite fast, so the
@@ -351,6 +353,62 @@ def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
         assert counted == [str(n) for n in want_counts], methods
 
 
+@pytest.mark.parametrize("points", [2, cli.BLOCK, cli.BLOCK + 1, 2 * cli.BLOCK + 3])
+@pytest.mark.parametrize("methods, step_mode", [("split2,split3", "single-shot"),
+                                                ("split3,split2,oracle-expm", "single-shot"),
+                                                (",".join(cli.ALL_METHODS), "stepping")])
+def test_blocked_pass_matches_the_states_of_each_grid_time(points, methods, step_mode):
+    # across block boundaries every row holds the observables of the oracle's
+    # grid and of each method's own states at that time (propagate at t, or
+    # composed steps), and each method's TruncationWarnings are counted as
+    # those calls raise them
+    cfg = config_from_dict({"dim": 8, "t_max": 1.5, "points": points, "alpha": [-0.3, 0.2],
+                            "methods": methods, "step_mode": step_mode, "rk4_dt": 0.01})
+    p, rho0 = cfg.model_params(), initial_state(cfg)
+    ts = np.linspace(0.0, cfg.t_max, cfg.points)
+
+    def counted(make):   # make()'s result and the TruncationWarnings it raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return make(), sum(issubclass(w.category, TruncationWarning) for w in caught)
+
+    def stepped(method):
+        out = [rho0]
+        for seg in map(float, np.diff(ts)):
+            n = step_count(seg, cfg.max_step_scale / p.rate, "")
+            out.append(out[-1])
+            for _ in range(n):
+                out[-1] = propagate(out[-1], seg / n, p, method, step_bound=np.inf)
+        return out
+
+    refs = {
+        "oracle-expm": lambda: (warn_on_guard_occupation(rho0),
+                                oracle.oracle_trajectory(rho0, ts, p))[1],
+        "oracle-rk4": lambda: oracle.oracle_trajectory(
+            rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))[0],
+        "closed-form-example": lambda: [example_solution(cfg.alpha, float(t), p) for t in ts]}
+    states, want_counts = {}, {}
+    for m in ("oracle-expm", *cfg.methods):
+        make = refs.get(m) or (lambda m=m: stepped(m) if step_mode == "stepping" else
+                               [propagate(rho0, float(t), p, m, step_bound=np.inf) for t in ts])
+        states[m], want_counts[m] = counted(make)
+    exact, min_eigs = states["oracle-expm"]
+    states["oracle-expm"] = exact
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, rows = run_trajectory(cfg)
+    got_counts = {str(w.message).split(" raised ")[0]: int(str(w.message).split()[2])
+                  for w in caught if " raised " in str(w.message)}
+    assert got_counts == {m: n for m, n in want_counts.items() if n}
+    assert sum(want_counts.values()) > 0   # the guard fires here
+    ops = (annihilation(p.dim), number(p.dim))
+    assert len(rows) == points
+    for i, row in enumerate(rows):
+        ref = (exact[i], exact[i].full(), min_eigs[i])
+        assert row == [float(ts[i])] + [x for m in cfg.methods
+                                        for x in observables(states[m][i], ops, ref).values()]
+
+
 def test_run_solves_one_eigenproblem_per_state(monkeypatch):
     # README defaults: the oracle's vetting solves its 40 states after t = 0,
     # whose rows take min_eig from it; the t = 0 row solves its own, and the
@@ -530,9 +588,15 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--dim", str(2 ** 63), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: dim must be <= ") and err.count("\n") == 1
-    # coherent state does not fit the requested cutoff
+    # coherent state does not fit the requested cutoff, also where |alpha|^2
+    # overflows a float: one line that names alpha
     assert main(["--dim", "8", "--alpha", "2.0", "--points", "3",
                  "--out", str(out)]) == 3
+    capsys.readouterr()
+    assert main(["--alpha", "1e200", "--dim", "8", "--points", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: coherent state alpha=(1e+200+0j) needs more than dim=8 levels")
+    assert err.count("\n") == 1
     # usage errors and non-finite alpha are reported, not raised
     assert main(["--bogus"]) == 2
     assert main(["--dim", "x"]) == 2
@@ -697,6 +761,24 @@ def test_main_convergence_study(tmp_path):
     assert len(slopes) == 2
     # study without h list is a usage error
     assert main(["--study", "convergence", "--out", str(out)]) == 2
+
+
+def test_main_convergence_study_refuses_settings_it_ignores(tmp_path, capsys, monkeypatch):
+    # the study reads neither the method list nor the grid: non-default
+    # values are one error line that names them, before any work, where they
+    # would otherwise be embedded in the output's config
+    monkeypatch.setattr(cli, "initial_state", lambda *a: pytest.fail("work started"))
+    assert main(["--study", "convergence", "--h-list", "0.2,0.1,0.05", "--method", "oracle-rk4",
+                 "--step-mode", "stepping", "--points", "99", "--tmax", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --study convergence ignores config keys "
+                                   "['methods', 'points', 'step_mode', 't_max']")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"max_step_scale": 0.05, "rk4_dt": 0.01}))
+    assert main(["--study", "convergence", "--h-list", "0.2,0.1,0.05",
+                 "--config", str(config)]) == 2
+    assert "['max_step_scale', 'rk4_dt']" in capsys.readouterr().err
 
 
 def test_convergence_study_counts_truncation_warnings_per_method(capsys):

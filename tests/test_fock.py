@@ -108,6 +108,12 @@ def test_huge_cutoffs_end_before_work():
 def test_coherent_state_rejects_small_cutoff():
     with pytest.raises(TruncationError):
         coherent_state(2.0, 8)
+    # where |alpha|^2 overflows a float the cutoff keeps nothing, not a NaN
+    # tail that would read as 0 and accept the state
+    for alpha in (1e200, -1e200j, math.inf):
+        assert coherent_tail_weight(alpha, 8) == 1.0
+    with pytest.raises(TruncationError, match=r"alpha=1e\+200 needs more than dim=8"):
+        coherent_state(1e200, 8)
     # same alpha fits easily with more levels
     coherent_state(2.0, 30)
     # zero amplitude is the vacuum at any cutoff

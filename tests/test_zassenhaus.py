@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import dampedjc
@@ -509,6 +510,44 @@ def test_step_operators_are_built_once_and_reused_bit_identically():
         cur = propagate(cur, h, p, orders[i % 3])
     assert _tau_operators.cache_info()[:2] == (199, 1)
     assert _coupling_operators.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 24])
+@pytest.mark.parametrize("t", [0.0, 0.01, 0.7, 2.0])
+def test_coupling_operators_are_the_full_band_stack_bit_for_bit(d, t):
+    # U's band operators, broadcast from the d-length diagonals, have the
+    # float rows of the earlier construction, written out here: the complex
+    # band stack repeated and tiled to full length, each row multiplied by
+    # its float-view factor.  The rows are equal up to signs of zero, which
+    # the product's sums, started at +0, drop: its bits are the same.  At
+    # t = 0 the imaginary bands are zero and go as one real row each.
+    from dampedjc.zassenhaus import _coupling_diagonals, _coupling_operators
+    p = P.with_dim(d)
+    cos_p, cos_n, up, down = _coupling_diagonals(t, p)
+    q, zero = d * d, np.zeros(d)
+    bands = np.array([[cos_p, cos_n], [zero, np.append(0, up)], [np.append(down, 0), zero]])
+    stacks = ((np.repeat(bands, d, axis=2)[:, :, None], [0, 2 * q + d, -2 * q - d]),
+              (np.tile(bands.conj(), d)[:, None], [0, q + 1, -q - 1]))
+    rng = np.random.default_rng(d)
+    V = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    V[0], V[1, ::2] = 0, -0.0   # zero terms, of both signs
+    for op, (data, offsets) in zip(_coupling_operators(t, p), stacks):
+        rows = []
+        for o, band in zip(offsets, data):
+            if band.imag.any():
+                rows += [(2 * o + 1, band, -1), (2 * o - 1, band, -1j)]
+            else:
+                rows.append((2 * o, band, 1 + 1j))
+        assert len(rows) == (3 if t == 0 else 5)
+        pairs = np.empty((len(rows), 2, 2, q), complex)
+        for out, (_, band, factor) in zip(pairs, rows):
+            np.multiply(band, factor, out=out)
+        pairs = pairs.reshape(len(rows), -1).view(float)
+        assert list(op.dia.offsets) == [o for o, _, _ in rows]
+        assert np.array_equal(op.dia.data, pairs)
+        old = sp.dia_matrix((pairs, op.dia.offsets), shape=op.dia.shape)
+        want = (old @ V.reshape(-1).view(float)).view(complex).reshape(V.shape)
+        assert np.array_equal((op @ V).view(np.uint64), want.view(np.uint64))
 
 
 def test_propagate_warns_on_edge_occupation():
