@@ -1,13 +1,14 @@
 """Command-line harness: observable trajectories and convergence studies.
 
-Runs one or more propagation methods in one pass over a shared time grid,
-in blocks of BLOCK grid times that hold BLOCK states per method, records a
-fixed set of observables per method per time, and writes CSV (default) or
-JSON.  Output is deterministic byte-for-byte for a given config: fixed float
-formatting and sorted config embedding.  A method whose states turn
-unphysical (negative eigenvalues) is reported by a warning on stderr, and so
-is single-shot mode lifting the split methods' step bound (a note).  The
-TruncationWarnings of each method are counted into one warning line.
+Runs one or more propagation methods in one pass over a shared time grid, in
+blocks of BLOCK grid times that hold BLOCK states per method (single-shot
+split columns from one zassenhaus.split_states call), records a fixed set of
+observables per method per time, and writes CSV (default) or JSON,
+byte-for-byte deterministic for a given config (fixed float formatting,
+sorted config embedding).  A method whose states turn unphysical (negative
+eigenvalues) is reported by a warning on stderr, and so is single-shot mode
+lifting the split methods' step bound (a note).  Each method's
+TruncationWarnings are counted into one warning line.
 
 Exit codes: 0 success; 2 bad usage/config/parameters, missing files or a
 state file that is not a density matrix;
@@ -49,13 +50,8 @@ from .oracle import (ORACLE_TOL, OracleConfig, OracleMethod, diagnostics,  # noq
 from .params import ModelParams
 from .superop import (BLOCK_KEYS, GUARD_LEVELS, GUARD_TOL, BlockDensity,  # noqa: F401
                       build_generator, step_count, warn_on_guard_occupation)
-from .zassenhaus import (
-    DEFAULT_STEP_BOUND,
-    PropagatorOrder,
-    commutator_step,
-    example_solution,
-    propagate,
-)
+from .zassenhaus import (DEFAULT_STEP_BOUND, PropagatorOrder, example_solution, propagate,
+                         split_states)
 
 SCHEMA_VERSION = 1
 MIN_EIG_TOL = 1e-10   # min_eig below -MIN_EIG_TOL draws a warning
@@ -366,31 +362,25 @@ def _count_truncation_warnings(methods):
                           TruncationWarning, stacklevel=3)
 
 
-def _split_once(method: str, rho0: BlockDensity, t: float, p: ModelParams, split2) -> BlockDensity:
-    """The split method's propagator on rho0 at time t, with no step bound;
-    split3 is the commutator factor, guarded, on split2 (at t) when given."""
-    if method == SPLIT3 and split2 is not None:
-        rho = commutator_step(split2, t, p)
-        warn_on_guard_occupation(rho)
-        return rho
-    return propagate(rho0, t, p, method, step_bound=math.inf)
+def _split_shots(tally, rho0: BlockDensity, ts, p: ModelParams, methods) -> dict:
+    """split_states of the split methods at ts, each state guarded and its
+    TruncationWarnings tallied as its method's."""
+    shots = split_states(rho0, ts, p, methods)
+    for method, states in shots.items():
+        for rho in states:
+            warn_on_guard_occupation(rho)
+        tally(method, None)
+    return shots
 
 
-def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensity, ts, block):
-    """The states of one method other than oracle-expm at ts, one at a time;
-    block holds the states of the methods before it in the current block of
-    BLOCK grid times (ts[i] is at index i % BLOCK)."""
+def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensity, ts):
+    """The states at ts of oracle-rk4, closed-form-example or a split method
+    in stepping mode, one at a time."""
     if method == ORACLE_RK4:
         rk4 = OracleConfig(OracleMethod.RK4, cfg.rk4_dt)
         yield from (state for state, _ in oracle_states(rho0, ts, p, rk4))
     elif method == CLOSED_FORM:
         yield from (example_solution(cfg.alpha, float(t), p) for t in ts)
-    elif cfg.step_mode == SINGLE_SHOT:
-        # The factored propagator at each grid time, the mode the closed forms
-        # describe.  Its error grows with t * rate; _note_raised_bound says so.
-        for i, t in enumerate(map(float, ts)):
-            split2 = block.get(SPLIT2)
-            yield _split_once(method, rho0, t, p, split2 and split2[i % BLOCK])
     else:
         # stepping: compose short steps between grid points
         yield (cur := rho0)
@@ -404,7 +394,8 @@ def _method_states(method: str, cfg: RunConfig, p: ModelParams, rho0: BlockDensi
 def run_trajectory(cfg: RunConfig):
     """(column names, rows) of the observable table, from one pass over the
     grid in blocks of BLOCK grid times: the oracle's states of a block, then
-    each method's in method order, then the block's rows.  So a run holds
+    the single-shot split columns' from one split_states call, then each
+    other method's in method order, then the block's rows.  So a run holds
     BLOCK states per method, and each method's operators stay in cache
     through its block.  The TruncationWarnings of each method, and of the
     oracle as oracle-expm, come out counted, one per method."""
@@ -414,17 +405,18 @@ def run_trajectory(cfg: RunConfig):
     columns = ["t"] + [f"{m.replace('-', '_')}_{name}"
                        for m in cfg.methods for name in OBSERVABLE_NAMES]
     ops = (annihilation(p.dim), number(p.dim))
-    rows, block = [], {}
+    shots = [m for m in cfg.methods if m in SPLIT_METHODS and cfg.step_mode == SINGLE_SHOT]
+    rows = []
     with _count_truncation_warnings((ORACLE_EXPM, *cfg.methods)) as tally:
         warn_on_guard_occupation(rho0)   # the oracle column's t = 0 state
         oracle = oracle_states(rho0, ts, p)
-        streams = {m: _method_states(m, cfg, p, rho0, ts, block)
-                   for m in cfg.methods if m != ORACLE_EXPM}
+        streams = {m: _method_states(m, cfg, p, rho0, ts)
+                   for m in cfg.methods if m not in (ORACLE_EXPM, *shots)}
         for start in range(0, len(ts), BLOCK):
             times = ts[start:start + BLOCK]
-            block.clear()
             refs = [tally(ORACLE_EXPM, next(oracle)) for _ in times]
-            block[ORACLE_EXPM] = [rho for rho, _ in refs]
+            block = {ORACLE_EXPM: [rho for rho, _ in refs],
+                     **_split_shots(tally, rho0, times, p, shots)}
             for m, states in streams.items():
                 block[m] = [tally(m, next(states)) for _ in times]
             for i, (t, (rho, min_eig)) in enumerate(zip(times, refs)):
@@ -448,12 +440,12 @@ class ConvergenceResult:
 def convergence_study(rho0: BlockDensity, p: ModelParams, h_list) -> ConvergenceResult:
     """Single-step error of split2 and split3 versus step size.
 
-    For each h split2 is applied once, and split3 is the commutator factor
-    (on a cutoff padded by zassenhaus.DEFAULT_PAD levels) on that state;
-    each is compared (trace distance) with the exact flow over the same h,
-    from one oracle sweep over the sorted h.  The log-log
-    slope estimates the local order (2 for split2, 3 for split3).  h_list
-    must hold at least three positive values in geometric progression.
+    For each h split2 and split3 are applied once, both from one
+    split_states call over h, and each is compared (trace distance) with
+    the exact flow over the same h, from one oracle sweep over the sorted
+    h.  The log-log slope estimates the local order (2 for split2, 3 for
+    split3).  h_list must hold at least three positive values in geometric
+    progression.
     When all errors sit at rounding level (< 1e-12) the slope is
     meaningless and is reported as None ("exact"), e.g. for Omega = 0 where
     the splitting is exact.
@@ -469,15 +461,11 @@ def convergence_study(rho0: BlockDensity, p: ModelParams, h_list) -> Convergence
             or abs(ratios[0] - 1.0) < 1e-9:
         raise ConfigError(f"h_list must be a geometric progression with ratio != 1: {h}")
 
-    errors = {SPLIT2: [], SPLIT3: []}
-    with _count_truncation_warnings((ORACLE_EXPM, *errors)) as tally:
+    with _count_truncation_warnings((ORACLE_EXPM, SPLIT2, SPLIT3)) as tally:
         states, _ = tally(ORACLE_EXPM, oracle_trajectory(rho0, [0.0, *sorted(h)], p))
         exact = {step: rho.full() for step, rho in zip(sorted(h), states[1:])}
-        for step in h:
-            row = {}
-            for name, errs in errors.items():
-                row[name] = tally(name, _split_once(name, rho0, step, p, row.get(SPLIT2)))
-                errs.append(trace_distance(row[name].full(), exact[step]))
+        errors = {name: [trace_distance(rho.full(), exact[step]) for rho, step in zip(shots, h)]
+                  for name, shots in _split_shots(tally, rho0, h, p, (SPLIT2, SPLIT3)).items()}
     slopes = {name: None if max(errs) < 1e-12 else
               float(np.polyfit(np.log(np.asarray(h)), np.log(np.asarray(errs)), 1)[0])
               for name, errs in errors.items()}
@@ -698,7 +686,7 @@ def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
 
 def _note_raised_bound(cfg: RunConfig) -> None:
     """One stderr line when single-shot mode lifts the step bound of the
-    split methods above DEFAULT_STEP_BOUND (see _method_states)."""
+    split methods above DEFAULT_STEP_BOUND: their error grows with t*rate."""
     reach = cfg.t_max * cfg.model_params().rate
     if (cfg.step_mode == SINGLE_SHOT and reach > DEFAULT_STEP_BOUND
             and any(m in SPLIT_METHODS for m in cfg.methods)):

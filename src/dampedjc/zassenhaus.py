@@ -13,15 +13,18 @@ U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
 factor splits into two commuting exponentials built from the single-block
 operators A, B, C, D.
 
-On a state, propagate applies the factors with no Python loop over Fock
-levels or series terms.  The diagonal flow is one batched tau_series call on
-the four stacked blocks (two real GEMMs with triangular Toeplitz matrices
-along the block diagonals, in a factorial-scaled basis).  Every band of U
-and of the commutator factor's generators is real or imaginary, so each of
-their products with the flat stacked state is one real band product on its
-float view: U from the left and U+ from the right, built per (t, params),
-and the two padded pair generators, built per params, inside the forward
-Taylor sum of superop._taylor_action that the oracle shares.
+The orders are nested truncations of one product (diagonal-only is e^{tX}),
+so one factor chain applies the factors in turn, with no Python loop over
+Fock levels or series terms: propagate walks it to one order at one t,
+split_states one factor at a time across a grid of times.  The diagonal
+flow is one batched tau_series call on the four stacked blocks (two real
+GEMMs with triangular Toeplitz matrices along the block diagonals, in a
+factorial-scaled basis).  Every band of U and of the commutator factor's
+generators is real or imaginary, so each of their products with the flat
+stacked state is one real band product on its float view: U from the left
+and U+ from the right, built per (t, params), and the two padded pair
+generators, built per params, inside the forward Taylor sum of
+superop._taylor_action that the oracle shares.
 
 Truncation note: the closed forms above represent the flow of the
 *untruncated* problem restricted to the retained levels.  For e^{tX} and
@@ -61,6 +64,10 @@ class PropagatorOrder(enum.Enum):
     DIAGONAL_ONLY = "diagonal-only"
     SPLIT2 = "split2"
     SPLIT3 = "split3"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"order must be one of {[o.value for o in cls]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -229,21 +236,36 @@ def exp_commutator(t: float, p: ModelParams, pad: int = DEFAULT_PAD) -> np.ndarr
 # state propagation
 
 
-def commutator_step(rho: BlockDensity, t: float, p: ModelParams) -> BlockDensity:
-    """F1 @ F2 rho = e^{(t^2/2)[X,Y]} rho, unchecked and unguarded: the one
-    Split3 factor path, for propagate and for callers holding the Split2
-    state.  The blocks, padded to dim+DEFAULT_PAD, go as one flat array
-    through the Taylor actions of the stacked pair generators F2 and F1."""
+def _factor_chain(blocks: np.ndarray, t: float, p: ModelParams):
+    """The stacked blocks of the diagonal-only, split2 and split3 states at
+    t, each the one before times one more factor; unchecked and unguarded.
+    e^{tX} carries the phases (0, -w0, +w0, 0); split3 pads the cutoff."""
+    blocks = np.exp(1j * np.array(block_phases(p)) * t)[:, None, None] * tau_series(blocks, t, p)
+    yield blocks
+    left, right = _coupling_operators(float(t), p)
+    blocks = right @ (left @ blocks)
+    del left, right   # split_states keeps a chain per t alive: its frame holds no U
+    yield blocks
     (G1, norm1), (G2, norm2), dp = _stacked_pair_generators(p)
-    d = p.dim
     V = np.zeros((4, dp, dp), dtype=complex)
-    V[:, :d, :d] = rho.blocks
+    V[:, :p.dim, :p.dim] = blocks
     theta = 0.5 * t * (t * p.Omega)   # finite where t * t overflows: t * Omega <= t * rate
     try:
         V = _taylor_action(G1, norm1, -1j * theta, _taylor_action(G2, norm2, +1j * theta, V))
     except NumericalError as e:
         raise NumericalError(f"commutator-factor {e}") from None
-    return BlockDensity._own(np.ascontiguousarray(V[:, :d, :d]))
+    yield (V := np.ascontiguousarray(V[:, :p.dim, :p.dim]))   # nor the padded V
+
+
+def split_states(rho0: BlockDensity, ts, p: ModelParams, orders) -> dict:
+    """{order: [its state at each t of ts]}, with no step bound and no guard
+    warning: each t's factor chain, walked one factor at a time across all
+    of ts as far as the last order listed, so no state is computed twice."""
+    index = {order: list(PropagatorOrder).index(PropagatorOrder(order)) for order in orders}
+    chains = [_factor_chain(rho0.blocks, float(t), p) for t in ts]
+    stages = [[BlockDensity._own(next(chain)) for chain in chains]
+              for _ in range(max(index.values(), default=-1) + 1)]
+    return {order: stages[i] for order, i in index.items()}
 
 
 def propagate(rho0: BlockDensity, t: float, p: ModelParams,
@@ -255,14 +277,9 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
     mu, w0) exceeds step_bound (default 1).  Longer evolutions should
     compose steps -- that is a harness-level choice, see the CLI.
 
-    Implemented in operator form rather than through the dense
-    superoperator: e^{tX} is one tau_series call on the four stacked blocks
-    times the scalar phases (0, -w0, +w0, 0); e^{tY} is U rho U+, two real
-    band products on the float view of the flat state; Split3 is
-    commutator_step on that Split2 state.  The t-only operators are cached
-    per (t, params) for every order, so steps of one h build them once.  The
-    tests check it against the dense product of exp_Y, exp_commutator and
-    the diagonal-block propagator, independent numerics, to ~1e-13.
+    The factor chain up to the order; its t-only operators are cached per
+    (t, params), so steps of one h build them once.  The tests check it
+    against the dense exp_Y, exp_commutator and diagonal-block propagator.
     """
     order = PropagatorOrder(order)
     if not 0 <= t < math.inf:
@@ -274,14 +291,8 @@ def propagate(rho0: BlockDensity, t: float, p: ModelParams,
             f"single step t={t} exceeds bound: t*max(Omega,mu,omega0) = "
             f"{t * p.rate:.3g} > {step_bound:.3g}; compose shorter steps")
 
-    phases = np.exp(1j * np.array(block_phases(p)) * t)
-    blocks = phases[:, None, None] * tau_series(rho0.blocks, t, p)
-    if order is not PropagatorOrder.DIAGONAL_ONLY:
-        left, right = _coupling_operators(float(t), p)
-        blocks = right @ (left @ blocks)
-    out = BlockDensity._own(blocks)
-    if order is PropagatorOrder.SPLIT3:
-        out = commutator_step(out, t, p)
+    chain = zip(PropagatorOrder, _factor_chain(rho0.blocks, t, p))
+    out = BlockDensity._own(next(blocks for stage, blocks in chain if stage is order))
     warn_on_guard_occupation(out)
     return out
 

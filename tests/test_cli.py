@@ -311,6 +311,23 @@ def test_splitting_exact_at_zero_coupling():
         assert all(d < 1e-9 for d in col), (name, col)
 
 
+def test_oracle_column_matches_one_excitation_solution():
+    # at alpha = 0, nu = 0 vacuum-excited is the one-excitation state mixed
+    # half and half with the dark state |1,0>, which stays put
+    from test_oracle import one_excitation_exact
+    cfg = config_from_dict({"dim": 8, "alpha": 0, "nu": 0, "methods": "oracle-expm,split2"})
+    p = cfg.model_params()
+    columns, rows = run_trajectory(cfg)
+    d, n = p.dim, np.diag(number(p.dim)).real
+    for row in rows:
+        rho = 0.5 * one_excitation_exact(row[0], p)
+        rho[d, d] += 0.5
+        diag = np.diag(rho).real
+        want = {"p0": diag[:d].sum(), "p1": diag[d:].sum(), "mean_n": diag[:d] @ n + diag[d:] @ n}
+        for name, value in want.items():
+            assert abs(row[columns.index(f"oracle_expm_{name}")] - value) < 1e-12, (row[0], name)
+
+
 def test_stepping_mode_beats_single_shot_at_long_times():
     base = {"dim": 12, "points": 3, "t_max": 3.0, "alpha": 0.6,
             "methods": ["split2"]}
@@ -324,15 +341,16 @@ def test_stepping_mode_beats_single_shot_at_long_times():
 
 def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
     # single-shot split3 is the commutator factor on the split2 state of the
-    # same t: every state equals propagate's bit for bit, and the guard
-    # warnings counted per method are what propagate gives, with none from an
-    # intermediate split2 state
+    # same t, in either column order: every state equals propagate's bit for
+    # bit, and the guard warnings counted per method are what propagate
+    # gives, with none from an intermediate split2 state
     seen = []
     real = cli.observables
     monkeypatch.setattr(cli, "observables",
                         lambda rho, *a, **k: seen.append(rho) or real(rho, *a, **k))
     argv = ["--dim", "10", "--tmax", "1.0", "--points", "5", "--alpha=-0.3+0.2j"]
-    counts = {"split3": [3, 2], "diagonal-only,split3": [3, 3, 2], "split2,split3": [3, 2, 2]}
+    counts = {"split3": [3, 2], "diagonal-only,split3": [3, 3, 2], "split2,split3": [3, 2, 2],
+              "split3,split2": [3, 2, 2], "split3,diagonal-only,split2": [3, 2, 3, 2]}
     for methods, want_counts in counts.items():
         cfg = config_from_dict({"dim": 10, "t_max": 1.0, "points": 5, "alpha": [-0.3, 0.2],
                                 "methods": methods})
@@ -351,11 +369,18 @@ def test_single_shot_split3_reuses_split2_exactly(monkeypatch, capsys):
         counted = [line.split(" raised ")[1].split()[0]
                    for line in capsys.readouterr().err.splitlines() if " raised " in line]
         assert counted == [str(n) for n in want_counts], methods
+    # the README run builds U once per grid time whatever the column order
+    from dampedjc.zassenhaus import _coupling_operators
+    _coupling_operators.cache_clear()
+    run_trajectory(RunConfig(methods=("oracle-expm", "split3", "split2")))
+    assert _coupling_operators.cache_info().misses == RunConfig.points
 
 
 @pytest.mark.parametrize("points", [2, cli.BLOCK, cli.BLOCK + 1, 2 * cli.BLOCK + 3])
 @pytest.mark.parametrize("methods, step_mode", [("split2,split3", "single-shot"),
                                                 ("split3,split2,oracle-expm", "single-shot"),
+                                                ("split3,split2", "single-shot"),
+                                                ("split3,diagonal-only,split2", "single-shot"),
                                                 (",".join(cli.ALL_METHODS), "stepping")])
 def test_blocked_pass_matches_the_states_of_each_grid_time(points, methods, step_mode):
     # across block boundaries every row holds the observables of the oracle's

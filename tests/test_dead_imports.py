@@ -1,11 +1,12 @@
-"""Every module-level import of a dampedjc module is used in that module.
+"""Every module-level import of a dampedjc module is used in that module,
+and every module-level private function or class is used in the package.
 
-No linter runs on this repository, so an import left behind by a deleted
-code path would otherwise stay.  The only bindings exempt are those that
-perfbench/tracing.py wraps in a module (its LAYERS), which must stay bound
-there although the module may not call them; LAYERS is read from the file,
-nothing is installed.  The closed forms and the modules under them import
-nothing from scipy.
+No linter runs on this repository, so an import or a helper left behind by
+a deleted code path would otherwise stay.  The only imports exempt are the
+bindings that perfbench/tracing.py wraps in a module (its LAYERS), which
+must stay bound there although the module may not call them; LAYERS is read
+from the file, nothing is installed.  The closed forms and the modules
+under them import nothing from scipy.
 """
 
 import ast
@@ -45,6 +46,22 @@ def _unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _dead_private(sources: dict) -> list:
+    """(file, line, name) of each module-level _private function or class
+    that no statement of the sources names, other than its own definition."""
+    defined, used = [], set()
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                defined.append((file, node.lineno, node.name))
+                names.discard(node.name)
+            used |= names
+    return [d for d in defined if d[2] not in used]
+
+
 def _scipy_imports(source: str) -> list:
     return [(line, module) for line, module, _ in _imports(ast.parse(source))
             if module.split(".")[0] == "scipy"]
@@ -64,6 +81,19 @@ def test_no_module_keeps_an_unused_import(monkeypatch):
             for line, name in _unused_imports(path.read_text(encoding="utf-8"))
             if (path.stem, name) not in traced]
     assert dead == [], "unused imports: " + ", ".join(dead)
+
+
+def test_dead_private_finds_an_unreferenced_helper():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _loop():\n    return _loop()\n\n"
+                       "class _Gone:\n    pass\n",
+               "b.py": "import a\nx = a._used()\n"}
+    assert _dead_private(sources) == [("a.py", 4, "_loop"), ("a.py", 7, "_Gone")]
+
+
+def test_no_private_helper_is_dead():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    dead = [f"{file}:{line}: {name}" for file, line, name in _dead_private(sources)]
+    assert dead == [], "unreferenced private helpers: " + ", ".join(dead)
 
 
 def test_core_modules_import_no_scipy():

@@ -41,6 +41,7 @@ from dampedjc import (
     vectorize_blocks,
 )
 from dampedjc.superop import BLOCK_KEYS, block_phases, fock_keep_indices
+from dampedjc.zassenhaus import split_states
 
 P = ModelParams(omega0=1.0, Omega=1.0, mu=0.2, nu=0.1, dim=10)
 
@@ -268,13 +269,15 @@ def test_propagate_matches_matrix_path():
 
 
 def test_commutator_factor_at_theta_zero_returns_input():
-    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action, commutator_step
+    from dampedjc.zassenhaus import _sparse_pair_generators, _taylor_action
     d, pad = 6, 4
     p = P.with_dim(d)
     rng = np.random.default_rng(3)
     rho = BlockDensity(*(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                          for _ in range(4)))
-    assert np.array_equal(commutator_step(rho, 0.0, p).full(), rho.full())
+    # split3's state is the factor applied to split2's, which it returns at t = 0
+    states = split_states(rho, [0.0], p, ["split3", "split2"])
+    assert np.array_equal(states["split3"][0].full(), states["split2"][0].full())
     # the four padded stacked components, all entries nonzero
     vec4 = np.array([rng.standard_normal((d + pad) ** 2) + 1j * rng.standard_normal((d + pad) ** 2)
                      for _ in range(4)])
@@ -451,6 +454,10 @@ def test_propagate_validation():
         propagate(rho0, 1.5, P)   # t * max(Omega, mu, omega0) = 1.5 > 1
     with pytest.raises(DomainError):
         exp_commutator(0.1, P, pad=-1)
+    for call in (lambda: propagate(rho0, 0.1, P, "bogus"),
+                 lambda: split_states(rho0, [0.1], P, ["split2", "bogus"])):
+        with pytest.raises(DomainError, match="'diagonal-only', 'split2', 'split3'.*'bogus'"):
+            call()
     # explicit bound lifts the guard
     p = P.with_dim(14)
     propagate(example_state(0.5, 14), 1.5, p, step_bound=2.0)
