@@ -44,7 +44,7 @@ from .errors import (
     TruncationError,
     TruncationWarning,
 )
-from .fock import annihilation, coherent_state, number
+from .fock import coherent_state
 from .oracle import (ORACLE_TOL, OracleConfig, OracleMethod, diagnostics,  # noqa: F401
                      oracle_propagate, oracle_states, oracle_trajectory)
 from .params import ModelParams
@@ -66,7 +66,7 @@ ALL_METHODS = (ORACLE_EXPM, ORACLE_RK4) + SPLIT_METHODS + (CLOSED_FORM,)
 SINGLE_SHOT, STEPPING = STEP_MODES = ("single-shot", "stepping")
 CSV, JSON = FORMATS = ("csv", "json")
 
-# exit code of a package error; any other DampedJCError exits 2
+# exit code of a package error; any other DampedJCError, and an OSError, exits 2
 EXIT_CODES = {TruncationError: 3, NumericalError: 4, StepError: 4}
 
 
@@ -307,16 +307,16 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def observables(rho: BlockDensity, ops, oracle) -> ObservableRow:
-    """The observables of rho.  ops = (a, N) are the dense ladder operators,
-    built once per run; oracle = (state, full(), min_eig or None) is the
+def observables(rho: BlockDensity, oracle) -> ObservableRow:
+    """The observables of rho, <N> and <a> off the oscillator state's main
+    and first sub-diagonal; oracle = (state, full(), min_eig or None) is the
     oracle's at the same time.  The oracle's own state reuses its matrix and
     min_eig (solved here if None); its tdist_oracle is 0 without a solve."""
-    a, N = ops
     oracle_rho, oracle_full, oracle_min_eig = oracle
     own = rho is oracle_rho
     osc = rho.rho00 + rho.rho11   # oscillator state, qubit traced out
-    mean_a = complex(np.trace(osc @ a))
+    n = np.arange(rho.dim)
+    mean_a = complex((np.append(0, np.diagonal(osc, -1)) * np.sqrt(n)).sum())
     full, min_eig = (oracle_full, oracle_min_eig) if own else (rho.full(), None)
     if min_eig is None:
         min_eig = float(np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min())
@@ -324,7 +324,7 @@ def observables(rho: BlockDensity, ops, oracle) -> ObservableRow:
         trace=float(full.trace().real),
         p0=float(np.trace(rho.rho00).real),
         p1=float(np.trace(rho.rho11).real),
-        mean_n=float(np.trace(osc @ N).real),
+        mean_n=float((np.diagonal(osc) * n).sum().real),
         re_a=mean_a.real,
         im_a=mean_a.imag,
         tdist_oracle=0.0 if own else trace_distance(full, oracle_full),
@@ -404,7 +404,6 @@ def run_trajectory(cfg: RunConfig):
     ts = np.linspace(0.0, cfg.t_max, cfg.points)
     columns = ["t"] + [f"{m.replace('-', '_')}_{name}"
                        for m in cfg.methods for name in OBSERVABLE_NAMES]
-    ops = (annihilation(p.dim), number(p.dim))
     shots = [m for m in cfg.methods if m in SPLIT_METHODS and cfg.step_mode == SINGLE_SHOT]
     rows = []
     with _count_truncation_warnings((ORACLE_EXPM, *cfg.methods)) as tally:
@@ -422,7 +421,7 @@ def run_trajectory(cfg: RunConfig):
             for i, (t, (rho, min_eig)) in enumerate(zip(times, refs)):
                 ref = (rho, rho.full(), min_eig)
                 rows.append([float(t)] + [x for m in cfg.methods
-                                          for x in observables(block[m][i], ops, ref).values()])
+                                          for x in observables(block[m][i], ref).values()])
     return columns, rows
 
 
@@ -509,8 +508,6 @@ def _emit(cfg: RunConfig, table, head, tail, **payload) -> None:
 def emit_plotscript(csv_path: str, script_path: str) -> None:
     """Write a gnuplot script that plots mean occupation and trace distance
     to the oracle for every method present in csv_path (by column name)."""
-    if not os.path.exists(csv_path):
-        raise FileNotFoundError(f"CSV file not found: {csv_path}")
     header = None
     with open(csv_path, encoding="utf-8") as fh:
         for line in fh:
@@ -637,8 +634,7 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
         raise ConfigError(f"cannot parse --h-list {h_list_arg!r}") from None
     p = cfg.model_params()
     rho0 = initial_state(cfg)
-    with _truncation_warnings_as_lines():
-        result = convergence_study(rho0, p, h_list)
+    result = convergence_study(rho0, p, h_list)
 
     def slope(name, fmt=float):   # an exact split has no slope
         s = result.slopes[name]
@@ -654,22 +650,6 @@ def _run_study(cfg: RunConfig, h_list_arg: str | None) -> int:
     for name in names:
         print(f"{name}: slope {slope(name, '{:.3f}'.format)}", file=sys.stderr)
     return 0
-
-
-@contextmanager
-def _truncation_warnings_as_lines():
-    """Print each TruncationWarning raised inside as one `warning:` line on
-    stderr, in place of Python's two-line format; the filters in force still
-    decide which are shown, and other warnings are shown as usual."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            yield
-    finally:
-        for w in caught:
-            if issubclass(w.category, TruncationWarning):
-                print(f"warning: {w.message}", file=sys.stderr)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 def _warn_unphysical(cfg: RunConfig, columns, rows) -> None:
@@ -698,8 +678,7 @@ def _note_raised_bound(cfg: RunConfig) -> None:
 def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
     if plotscript and (cfg.format != CSV or cfg.out is None):
         raise ConfigError("--plotscript needs --out plus csv format")
-    with _truncation_warnings_as_lines():
-        columns, rows = run_trajectory(cfg)
+    columns, rows = run_trajectory(cfg)
     _note_raised_bound(cfg)
     _warn_unphysical(cfg, columns, rows)
     _emit(cfg, (columns, rows), [], [], columns=columns, rows=rows)
@@ -711,21 +690,27 @@ def _run_trajectory(cfg: RunConfig, plotscript: str | None) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _build_parser().parse_args(_attach_negative_values(argv))
-        cfg = _resolve_config(args)
-        if args.study == "convergence":
-            return _run_study(cfg, args.h_list)
-        return _run_trajectory(cfg, args.plotscript)
-    except DampedJCError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return next((code for cls, code in EXIT_CODES.items() if isinstance(e, cls)), 2)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, MemoryError, OverflowError) as e:
-        print(f"error: {type(e).__name__}: {e}".rstrip(": "), file=sys.stderr)
-        return 4
+    shown = warnings.showwarning
+
+    def show(message, category, *where):   # a TruncationWarning as one `warning:` line
+        if issubclass(category, TruncationWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            shown(message, category, *where)
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            args = _build_parser().parse_args(_attach_negative_values(argv))
+            cfg = _resolve_config(args)
+            if args.study == "convergence":
+                return _run_study(cfg, args.h_list)
+            return _run_trajectory(cfg, args.plotscript)
+        except (DampedJCError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return next((code for cls, code in EXIT_CODES.items() if isinstance(e, cls)), 2)
+        except (np.linalg.LinAlgError, MemoryError, OverflowError) as e:
+            print(f"error: {type(e).__name__}: {e}".rstrip(": "), file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

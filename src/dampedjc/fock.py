@@ -46,9 +46,16 @@ def coherent_tail_weight(alpha: complex, dim: int) -> float:
     """Poisson weight the cutoff discards: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n!."""
     dim = _check_dim(dim)
     lam = min(abs(alpha), 1e150) ** 2   # finite: ** 2 raises past ~1.3e154, and 0 * inf is nan
+    term = math.exp(-lam)
+    if term < np.finfo(float).tiny:   # underflows; n beyond lam +- 10 sqrt(lam) hold < e^-44
+        lo, hi = math.ceil(lam - 10 * math.sqrt(lam)), math.floor(lam + 10 * math.sqrt(lam))
+        if not lo < dim <= hi:
+            return float(dim <= lo)
+        logs = np.cumsum(np.log(lam / np.arange(lo, hi + 1)))   # log(term n / term lo-1)
+        terms = np.exp(logs - logs.max())
+        return float(terms[dim - lo:].sum() / terms.sum())
     # complement of the retained Poisson mass, accumulated term by term up to a
     # zero term, or past n = lam (terms shrink there) one the sum cannot hold
-    term = math.exp(-lam)
     retained = term
     for n in range(1, dim):
         term *= lam / n
@@ -74,9 +81,12 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
             f"(discarded weight {tail:.3e} >= {TAIL_TOL:.1e})"
         )
     c = np.empty(dim, dtype=complex)
-    c[0] = math.exp(-abs(alpha) ** 2 / 2)
+    # c[0] kept above underflow, amplitudes past 1e100 scaled by 1e-100: normalizing undoes both
+    c[0] = math.exp(-min(abs(alpha) ** 2, 1400) / 2)
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
+        if abs(c[n]) > 1e100:
+            c[:n + 1] *= 1e-100
     return c / np.linalg.norm(c)
 
 

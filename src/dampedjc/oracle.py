@@ -6,7 +6,8 @@ Two deliberately independent routes to the same flow:
   superop._taylor_action, as in split3 (a forward Taylor sum, stopped at a
   rigorous tail bound, capped at the a-priori degree), of the sparse
   generator with its exact 1-norm; no propagator matrix is formed.  The name
-  predates the sparse route and is kept so configs and columns do not change;
+  predates the sparse route and is kept because callers import
+  OracleMethod.DENSE_EXPM, the acceptance tests among them;
 * RK4 -- classic fixed-step Runge-Kutta on the componentwise right-hand
   side written directly in d x d block algebra (never touching the
   superoperator code path).

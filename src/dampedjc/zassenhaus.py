@@ -7,11 +7,11 @@ of exponentials:
     e^{t(X+Y)} ~ e^{tY} e^{tX}                      (Split2, local error h^2)
     e^{t(X+Y)} ~ e^{t^2/2 [X,Y]} e^{tY} e^{tX}      (Split3, local error h^3)
 
-e^{tX} is exact via the disentangled diagonal-block propagator; e^{tY} is
-the unitary conjugation rho -> U rho U+ with the 2x2-block cos/sin matrix
-U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the commutator
-factor splits into two commuting exponentials built from the single-block
-operators A, B, C, D.
+e^{tX} is exact: tau_series writes its disentangled product as a double
+series (diagonal_block_propagator, the dense form, is only a test reference);
+e^{tY} is the unitary conjugation rho -> U rho U+ with the 2x2-block cos/sin
+matrix U = exp(-i Omega t [[0,a],[a+,0]]) in the number operator; the
+commutator factor splits into two commuting exponentials of A, B, C, D.
 
 The orders are nested truncations of one product (diagonal-only is e^{tX}),
 so one factor chain applies the factors in turn, with no Python loop over
@@ -40,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,12 +260,14 @@ def _factor_chain(blocks: np.ndarray, t: float, p: ModelParams):
 
 def split_states(rho0: BlockDensity, ts, p: ModelParams, orders) -> dict:
     """{order: [its state at each t of ts]}, with no step bound and no guard
-    warning: each t's factor chain, walked one factor at a time across all
-    of ts as far as the last order listed, so no state is computed twice."""
+    warning: each t's factor chain, walked across all of ts one listed stage
+    at a time as far as the last order listed, so no state is computed twice
+    and an unlisted stage is dropped at the chain's next factor."""
     index = {order: list(PropagatorOrder).index(PropagatorOrder(order)) for order in orders}
-    chains = [_factor_chain(rho0.blocks, float(t), p) for t in ts]
-    stages = [[BlockDensity._own(next(chain)) for chain in chains]
-              for _ in range(max(index.values(), default=-1) + 1)]
+    listed = [i in index.values() for i in range(max(index.values(), default=-1) + 1)]
+    chains = [compress(_factor_chain(rho0.blocks, float(t), p), listed) for t in ts]
+    stages = {i: [BlockDensity._own(next(chain)) for chain in chains]
+              for i in sorted(set(index.values()))}
     return {order: stages[i] for order, i in index.items()}
 
 

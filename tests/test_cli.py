@@ -15,10 +15,12 @@ from scipy.linalg import expm
 
 import dampedjc
 from dampedjc import (
+    BlockDensity,
     ConfigError,
     DomainError,
     ModelParams,
     NumericalError,
+    ObservableRow,
     OracleConfig,
     OracleMethod,
     PropagatorOrder,
@@ -34,6 +36,7 @@ from dampedjc import (
     number,
     propagate,
     run_trajectory,
+    trace_distance,
 )
 from dampedjc import cli, oracle
 from dampedjc.cli import (
@@ -208,7 +211,7 @@ def test_main_refuses_a_state_file_that_is_not_a_density_matrix(tmp_path, capsys
 def test_observable_row_against_known_state():
     cfg = config_from_dict({"dim": 10, "alpha": 0.5})
     rho = initial_state(cfg)
-    row = observables(rho, (annihilation(10), number(10)), (rho, rho.full(), None))
+    row = observables(rho, (rho, rho.full(), None))
     assert row.trace == pytest.approx(1.0)
     assert row.p0 == pytest.approx(0.5)
     assert row.p1 == pytest.approx(0.5)
@@ -218,6 +221,46 @@ def test_observable_row_against_known_state():
     assert row.im_a == pytest.approx(0.0, abs=1e-12)
     assert row.tdist_oracle == pytest.approx(0.0, abs=1e-14)
     assert row.min_eig > -1e-12
+
+
+def _observables_from_ladder_matrices(rho, oracle):
+    """observables written with the dense ladder operators, <N> = trace(osc N)
+    and <a> = trace(osc a)."""
+    a, N = annihilation(rho.dim), number(rho.dim)
+    oracle_rho, oracle_full, oracle_min_eig = oracle
+    own = rho is oracle_rho
+    osc = rho.rho00 + rho.rho11
+    mean_a = complex(np.trace(osc @ a))
+    full, min_eig = (oracle_full, oracle_min_eig) if own else (rho.full(), None)
+    if min_eig is None:
+        min_eig = float(np.linalg.eigvalsh(0.5 * (full + full.conj().T)).min())
+    return ObservableRow(
+        trace=float(full.trace().real),
+        p0=float(np.trace(rho.rho00).real),
+        p1=float(np.trace(rho.rho11).real),
+        mean_n=float(np.trace(osc @ N).real),
+        re_a=mean_a.real,
+        im_a=mean_a.imag,
+        tdist_oracle=0.0 if own else trace_distance(full, oracle_full),
+        min_eig=min_eig,
+    )
+
+
+def test_observables_off_the_diagonals_equal_the_ladder_traces():
+    # <N> and <a> read off the main and first sub-diagonal give the same
+    # bits as the traces with the dense ladder matrices, also with zero
+    # entries of both signs and for the oracle's own state
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 24):
+        for _ in range(20):
+            parts = rng.standard_normal((2, 4, d, d))
+            zeros = rng.random(parts.shape) < rng.choice([0.3, 0.8, 1.0])
+            parts[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+            rho = BlockDensity(*(parts[0] + 1j * parts[1]))
+            ref = BlockDensity(*rng.standard_normal((4, d, d)))
+            for oracle in ((ref, ref.full(), None), (rho, rho.full(), None),
+                           (rho, rho.full(), -0.25)):
+                assert observables(rho, oracle) == _observables_from_ladder_matrices(rho, oracle)
 
 
 def test_run_trajectory_columns_and_t0():
@@ -286,9 +329,8 @@ def test_oracle_rk4_column_is_the_rk4_trajectory():
     rk4, _ = oracle.oracle_trajectory(rho0, ts, p, OracleConfig(OracleMethod.RK4, cfg.rk4_dt))
     exact, min_eigs = oracle.oracle_trajectory(rho0, ts, p)
     _, rows = run_trajectory(cfg)
-    ops = (annihilation(p.dim), number(p.dim))
     for row, state, ref, min_eig in zip(rows, rk4, exact, min_eigs):
-        assert row[1:] == list(observables(state, ops, (ref, ref.full(), min_eig)).values())
+        assert row[1:] == list(observables(state, (ref, ref.full(), min_eig)).values())
 
 
 def test_split2_tracks_oracle_closely():
@@ -426,12 +468,11 @@ def test_blocked_pass_matches_the_states_of_each_grid_time(points, methods, step
                   for w in caught if " raised " in str(w.message)}
     assert got_counts == {m: n for m, n in want_counts.items() if n}
     assert sum(want_counts.values()) > 0   # the guard fires here
-    ops = (annihilation(p.dim), number(p.dim))
     assert len(rows) == points
     for i, row in enumerate(rows):
         ref = (exact[i], exact[i].full(), min_eigs[i])
         assert row == [float(ts[i])] + [x for m in cfg.methods
-                                        for x in observables(states[m][i], ops, ref).values()]
+                                        for x in observables(states[m][i], ref).values()]
 
 
 def test_run_solves_one_eigenproblem_per_state(monkeypatch):
@@ -950,3 +991,32 @@ def test_main_prints_one_line_per_method_for_truncation_warnings():
     assert [w.category for w in caught] == [TruncationWarning] * 3
     assert [str(w.message).split(" raised")[0] for w in caught[:2]] == ["oracle-expm", "split2"]
     assert str(caught[2].message).startswith("top 3 Fock levels hold occupation")
+
+
+def test_main_shows_other_warnings_in_python_format(monkeypatch, capsys):
+    # a warning that is not a TruncationWarning goes to the showwarning in
+    # force, here Python's own format on stderr, in the order raised and
+    # ahead of the counted `warning:` lines
+    def planted(name, call):
+        def warn_then_call(*args):
+            warnings.warn(f"planted in {name}", UserWarning)
+            return call(*args)
+        return warn_then_call
+
+    def python_format(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    for name in ("oracle_states", "split_states"):
+        monkeypatch.setattr(cli, name, planted(name, getattr(cli, name)))
+    monkeypatch.setattr(warnings, "showwarning", python_format)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["--dim", "10", "--tmax", "1.0", "--points", "5",
+                     "--alpha=-0.3+0.2j"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    shown = [(i, line.rsplit(": ", 1)[1]) for i, line in enumerate(lines)
+             if line.startswith(f"{__file__}:") and ": UserWarning: planted in " in line]
+    counted = [i for i, line in enumerate(lines) if line.startswith("warning: ")
+               and " raised " in line]
+    assert [name for _, name in shown] == ["planted in oracle_states", "planted in split_states"]
+    assert len(counted) == 3 and shown[-1][0] < counted[0], lines

@@ -1,5 +1,6 @@
 """Every module-level import of a dampedjc module is used in that module,
-and every module-level private function or class is used in the package.
+and every module-level private function, class or constant is used in the
+package.
 
 No linter runs on this repository, so an import or a helper left behind by
 a deleted code path would otherwise stay.  The only imports exempt are the
@@ -46,18 +47,33 @@ def _unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _bound_names(node: ast.stmt) -> list:
+    """The names a module-level statement defines: a function's or class's
+    own name, or the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def _dead_private(sources: dict) -> list:
-    """(file, line, name) of each module-level _private function or class
-    that no statement of the sources names, other than its own definition."""
+    """(file, line, name) of each module-level _private function, class or
+    constant (a name an assignment binds) that no statement of the sources
+    names, other than its own definition."""
     defined, used = [], set()
     for file, source in sources.items():
         for node in ast.parse(source).body:
             names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                      if isinstance(n, (ast.Name, ast.Attribute))}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
-                    and not node.name.startswith("__"):
-                defined.append((file, node.lineno, node.name))
-                names.discard(node.name)
+            for name in _bound_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((file, node.lineno, name))
+                    names.discard(name)
             used |= names
     return [d for d in defined if d[2] not in used]
 
@@ -88,6 +104,13 @@ def test_dead_private_finds_an_unreferenced_helper():
                        "class _Gone:\n    pass\n",
                "b.py": "import a\nx = a._used()\n"}
     assert _dead_private(sources) == [("a.py", 4, "_loop"), ("a.py", 7, "_Gone")]
+
+
+def test_dead_private_finds_an_unreferenced_constant():
+    sources = {"a.py": "_USED = 1\n_GONE: int = 2\n_PAIR, _LEFT = 3, 4\n__all__ = []\n"
+                       "PUBLIC = _PAIR\n",
+               "b.py": "import a\nx = a._USED\n"}
+    assert _dead_private(sources) == [("a.py", 2, "_GONE"), ("a.py", 3, "_LEFT")]
 
 
 def test_no_private_helper_is_dead():

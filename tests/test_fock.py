@@ -92,6 +92,22 @@ def test_coherent_tail_weight_matches_poisson_sf():
         assert abs(got - want) < 1e-12
 
 
+def test_coherent_tail_and_state_where_the_first_term_underflows():
+    # e^{-|alpha|^2} underflows past |alpha|^2 ~ 745 and e^{-|alpha|^2/2} past
+    # ~1490: the tail weight and the amplitudes still follow the Poisson law
+    assert abs(coherent_tail_weight(30, 1200) - poisson.sf(1199, 900)) < 1e-12
+    assert coherent_tail_weight(27.4, 3000) == 0.0
+    for alpha, dims in ((27.4, (700, 750, 760, 800)), (30, (850, 900, 950, 1000)),
+                        (40, (1580, 1600, 1650, 1700))):
+        for d in dims:
+            want = poisson.sf(d - 1, abs(alpha) ** 2)
+            assert abs(coherent_tail_weight(alpha, d) - want) < 1e-12, (alpha, d)
+    for alpha, d in ((30, 1200), (40, 2500), (45 - 40j, 4200)):
+        c = coherent_state(alpha, d)
+        probs = poisson.pmf(np.arange(d), abs(alpha) ** 2)
+        assert np.abs(np.abs(c) ** 2 - probs).max() < 1e-12, alpha
+
+
 def test_huge_cutoffs_end_before_work():
     # the tail sum stops once its terms no longer count, with the same bits
     for alpha in (0.0, 0.5, 3.0 - 1.0j, 30.0):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,32 @@ def test_commutator_factor_at_theta_zero_returns_input():
         assert np.array_equal(propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT3).full(),
                               propagate(rho0, 0.5, p0, PropagatorOrder.SPLIT2).full())
     assert len(caught) == 2
+
+
+def test_split_states_keeps_only_the_listed_stages():
+    # split2 and split3 at 8 times, the single-shot block of a README run,
+    # hold none of the 8 diagonal-only states on the way: their peak is at
+    # least 4 states below the peak with all three orders listed
+    p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=24)
+    rho0 = example_state(1.0, p.dim)
+    ts = np.linspace(0.25, 2.0, 8)
+    every = [order.value for order in PropagatorOrder]
+    want = split_states(rho0, ts, p, every)   # warms the caches of t-only operators
+
+    def peak(orders):
+        tracemalloc.start()
+        try:
+            got = split_states(rho0, ts, p, orders)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    listed, listed_peak = peak(["split3", "split2"])
+    _, every_peak = peak(every)
+    assert list(listed) == ["split3", "split2"]
+    for order, states in listed.items():
+        assert all(np.array_equal(a.blocks, b.blocks) for a, b in zip(states, want[order]))
+    assert listed_peak <= every_peak - 4 * rho0.blocks.nbytes, (listed_peak, every_peak)
 
 
 def test_split3_angle_stays_finite_at_tiny_rates():
