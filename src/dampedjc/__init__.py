@@ -21,10 +21,8 @@ from .fock import (
     annihilation,
     coherent_state,
     coherent_tail_weight,
-    cos_sqrt,
     creation,
     number,
-    sinc_sqrt,
 )
 from .superop import (
     BlockDensity,

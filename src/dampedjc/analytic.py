@@ -202,14 +202,11 @@ def tau_series(tau0: np.ndarray, t: float, p: ModelParams) -> np.ndarray:
 
 
 def vacuum_solution(t: float, p: ModelParams) -> np.ndarray:
-    """Diagonal flow of |0><0|: (e^{(mu-nu)t/2}/F) diag(G^n).
+    """Diagonal flow of |0><0|: (1-G) diag(G^n), the coherent flow at beta = 0.
 
     At t=0 (G=0) this is the projector onto n=0, the G -> 0+ limit.
     """
-    g = efg(t, p)
-    x = (p.mu - p.nu) * t / 2
-    n = np.arange(p.dim)
-    return np.diag(math.exp(x - g.log_F) * np.power(g.G, n)).astype(complex)
+    return coherent_solution(0.0, t, p)
 
 
 def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
@@ -219,12 +216,16 @@ def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
     (1-G) e^{-(1-G)|beta|^2} (conj(beta) (1-G))^k / sqrt(k!) u_n, where u_n =
     sqrt(n! k!/(n+k)!) G^n L_n^(k)(-(1-G)^2 |beta|^2 / G) follows the Laguerre
     recurrence in n.  These are the full |alpha>'s flow on the retained
-    levels; G = 0 (t = 0, nu = 0, or a tiny t) gives |beta><beta|.
+    levels; G = 0 (t = 0, nu = 0, or a tiny t) gives |beta><beta|.  The
+    factor e^{-(1-G)|beta|^2} starts both c and u, as e^{-nb/2} each, so
+    neither under- nor overflows up to nb = 1400; past it, DomainError.
     """
     coherent_state(alpha, p.dim)   # the cutoff must hold |alpha> itself
     G, d = efg(t, p).G, p.dim
     beta = alpha * np.exp(-((p.mu - p.nu) / 2 + 1j * p.omega0) * t)
     nb = abs(beta) ** 2 * (1 - G)
+    if nb > 1400:
+        raise DomainError(f"coherent flow needs |beta|^2 (1-G) <= 1400, got {nb:.4g}")
     k = np.arange(d)
     n = k[:, None]
     # (n+1) P_{n+1} = (G (2n+1+k) + (1-G) nb) P_n - G^2 (n+k) P_{n-1} for
@@ -233,11 +234,11 @@ def coherent_solution(alpha: complex, t: float, p: ModelParams) -> np.ndarray:
     step = (G * (2 * n + 1 + k) + (1 - G) * nb) * scale
     back = G * G * np.sqrt(n * (n + k)) * scale
     u = np.zeros((d + 1, d))   # row n + 1 holds u_n
-    u[1] = 1.0
+    u[1] = math.exp(-nb / 2)
     for i in range(1, d):
         u[i + 1] = step[i - 1] * u[i] - back[i - 1] * u[i - 1]
-    c = np.cumprod(np.concatenate(([1.0], np.conj(beta) * (1 - G) / np.sqrt(k[1:]))))
+    c = np.cumprod(np.concatenate(([math.exp(-nb / 2)], np.conj(beta) * (1 - G) / np.sqrt(k[1:]))))
     skewed = np.zeros((d, 2 * d), dtype=complex)   # column k + d - 1: diagonal k
-    skewed[:, d - 1:-1] = (1 - G) * math.exp(-nb) * c * u[1:]
+    skewed[:, d - 1:-1] = (1 - G) * c * u[1:]
     upper = _unskew(skewed)
     return upper + np.triu(upper, 1).conj().T

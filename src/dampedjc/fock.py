@@ -111,13 +111,3 @@ def sinc_sqrt_values(x: float, dim: int, shift: int = 0) -> np.ndarray:
     n = np.arange(shift, _check_dim(dim) + shift)
     r = np.sqrt(np.maximum(n, 1))
     return _finite(np.where(n == 0, x, np.sin(x * r) / r), x)
-
-
-def cos_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(cos_sqrt_values(x, dim, shift))."""
-    return np.diag(cos_sqrt_values(x, dim, shift))
-
-
-def sinc_sqrt(x: float, dim: int, shift: int = 0) -> np.ndarray:
-    """diag(sinc_sqrt_values(x, dim, shift))."""
-    return np.diag(sinc_sqrt_values(x, dim, shift))

@@ -8,9 +8,9 @@ Two deliberately independent routes to the same flow:
   generator with its exact 1-norm; no propagator matrix is formed.  The name
   predates the sparse route and is kept because callers import
   OracleMethod.DENSE_EXPM, the acceptance tests among them;
-* RK4 -- classic fixed-step Runge-Kutta on the componentwise right-hand
-  side written directly in d x d block algebra (never touching the
-  superoperator code path).
+* RK4 -- classic fixed-step Runge-Kutta on the Lindblad form of the master
+  equation on the full 2d x 2d matrix, written from H and the jump
+  operators (never touching the superoperator code path).
 
 `oracle_states` runs either route lazily over a non-decreasing time grid, one
 integration per interval, each state vetted against the initial trace, and
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, NumericalError, ShapeError, StepError
-from .fock import annihilation, creation, number
+from .fock import annihilation, number
 from .params import ModelParams
 from .superop import (
     GUARD_LEVELS,
@@ -95,62 +95,52 @@ def diagnostics(rho: BlockDensity) -> DiagnosticsReport:
 
 
 def master_rhs(rho: BlockDensity, p: ModelParams) -> BlockDensity:
-    """Componentwise right-hand side of the master equation.
+    """Right-hand side of the master equation, in Lindblad form on the full
+    2d x 2d matrix R = [[rho00, rho01], [rho10, rho11]] (Lindblad,
+    Commun. Math. Phys. 48, 119 (1976)):
 
-    With H = [[w0/2 + w0 N, Omega a], [Omega a+, -w0/2 + w0 N]] and a
-    single oscillator damped at rate mu (decay) and pumped at rate nu:
+        dR/dt = K R + R K+ + mu A R A+ + nu A+ R A,
+        K = -i H - (mu N + nu (N+1))/2,
 
-        d rho_ij / dt = -i [H, rho]_ij + D(rho_ij)
-
-        D(s) = mu (a s a+ - (N s + s N)/2)
-             + nu (a+ s a - ((N+1) s + s (N+1))/2)
-
-    The qubit splitting contributes scalar phases -i w0 (+i w0) to the 01
-    (10) block; the oscillator part of H contributes -i w0 [N, .] and the
-    coupling mixes the blocks through a and a+.  Written out per block so
-    this path shares no code with the vectorized generator.
+    with H = [[w0/2 + w0 N, Omega a], [Omega a+, -w0/2 + w0 N]], the jump
+    operator A = 1 kron a of the oscillator damped at rate mu and pumped at
+    rate nu, and N + 1 the operator identity (superop's convention).  Written
+    from H and A alone, so this path shares no code with the vectorized
+    generator.
     """
     if rho.dim != p.dim:
         raise ShapeError(f"state dim {rho.dim} != params dim {p.dim}")
-    return BlockDensity._own(_rhs(rho.blocks, _ladder_ops(p.dim), p))
+    return BlockDensity.from_full(_rhs(rho.full(), _lindblad_ops(p), p))
 
 
-def _ladder_ops(d: int) -> tuple:
-    """(a, a+, N, N+1), dense d x d."""
-    return annihilation(d), creation(d), number(d), number(d) + np.eye(d)
+def _lindblad_ops(p: ModelParams) -> tuple:
+    """(K, A) of master_rhs, dense 2d x 2d."""
+    d = p.dim
+    a, N, one = annihilation(d), number(d), np.eye(d)
+    H = np.block([[p.omega0 * (N + one / 2), p.Omega * a],
+                  [p.Omega * a.conj().T, p.omega0 * (N - one / 2)]])
+    N, A = np.kron(np.eye(2), N), np.kron(np.eye(2), a)
+    return -1j * H - 0.5 * (p.mu * N + p.nu * (N + np.eye(2 * d))), A
 
 
-def _rhs(blocks: np.ndarray, ops: tuple, p: ModelParams) -> np.ndarray:
-    """master_rhs on the stacked (4, d, d) blocks, ops = _ladder_ops(d)."""
-    a, ad, N, Np1 = ops
-    w0, W, mu, nu = p.omega0, p.Omega, p.mu, p.nu
-
-    def dissipate(s):
-        return (mu * (a @ s @ ad - 0.5 * (N @ s + s @ N))
-                + nu * (ad @ s @ a - 0.5 * (Np1 @ s + s @ Np1)))
-
-    r00, r01, r10, r11 = blocks
-    d00 = -1j * w0 * (N @ r00 - r00 @ N) - 1j * W * (a @ r10 - r01 @ ad) + dissipate(r00)
-    d01 = (-1j * w0 * r01 - 1j * w0 * (N @ r01 - r01 @ N)
-           - 1j * W * (a @ r11 - r00 @ a) + dissipate(r01))
-    d10 = (+1j * w0 * r10 - 1j * w0 * (N @ r10 - r10 @ N)
-           - 1j * W * (ad @ r00 - r11 @ ad) + dissipate(r10))
-    d11 = -1j * w0 * (N @ r11 - r11 @ N) - 1j * W * (ad @ r01 - r10 @ a) + dissipate(r11)
-    return np.stack([d00, d01, d10, d11])
+def _rhs(R: np.ndarray, ops: tuple, p: ModelParams) -> np.ndarray:
+    """master_rhs on the full matrix R, with ops = _lindblad_ops(p)."""
+    K, A = ops
+    return K @ R + R @ K.conj().T + p.mu * A @ R @ A.conj().T + p.nu * A.conj().T @ R @ A
 
 
 def _rk4_evolve(rho: BlockDensity, t: float, p: ModelParams, dt: float) -> BlockDensity:
     n = step_count(t, dt, "oracle rk4")
     h = t / n
-    ops = _ladder_ops(p.dim)
-    cur = rho.blocks
+    ops = _lindblad_ops(p)
+    cur = rho.full()
     for _ in range(n):
         k1 = _rhs(cur, ops, p)
         k2 = _rhs(cur + 0.5 * h * k1, ops, p)
         k3 = _rhs(cur + 0.5 * h * k2, ops, p)
         k4 = _rhs(cur + h * k3, ops, p)
         cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return BlockDensity._own(cur)
+    return BlockDensity.from_full(cur)
 
 
 def _vet(rho: BlockDensity, trace0: complex) -> float:

@@ -19,7 +19,7 @@ proportional to Omega.
 Convention: the dissipator term a a+ is expanded as N + 1 (the operator
 identity) rather than as the truncated matrix product, whose top-right
 corner is defective.  This makes the explicit tensor form of L agree
-entrywise with its K-form and with the componentwise right-hand side used
+entrywise with its K-form and with the Lindblad-form right-hand side used
 by the reference integrator.
 """
 

@@ -51,8 +51,7 @@ from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .analytic import coherent_solution, tau_series, vacuum_solution
 from .errors import DomainError, NumericalError, ShapeError, StepError
-from .fock import (annihilation, coherent_state, cos_sqrt, cos_sqrt_values, creation,
-                   sinc_sqrt, sinc_sqrt_values)
+from .fock import coherent_state, cos_sqrt_values, sinc_sqrt_values
 from .params import ModelParams
 from .superop import (BlockDensity, _FloatBands, _sparse_sides, _taylor_action, block_phases,
                       restrict_superop, warn_on_guard_occupation)
@@ -306,7 +305,8 @@ def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:
         rho(0) = (1/2) diag(|0><0|, |alpha><alpha|).
 
     Both diagonal blocks evolve by the exact diagonal flow (vacuum and
-    coherent closed forms A and B), then the coupling sandwich mixes them:
+    coherent closed forms A and B), then the coupling sandwich mixes them,
+    rho~(t) = (1/2) U diag(A, B) U+, that is
 
         rho~(t) = (1/2) [[(11), (12)], [(21), (22)]]
         (11) =  cP A cP + sP a B a+ sP
@@ -315,8 +315,10 @@ def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:
         (22) =  sN a+ A a sN + cN B cN
 
     with cP = cos(c sqrt(N+1)), sP = sinc-type sin(c sqrt(N+1))/sqrt(N+1),
-    cN, sN the same at N, c = Omega t.  Independent of propagate(): used to
-    cross-check the generic pipeline.  At t = 0 it is rho(0) itself, the one
+    cN, sN the same at N, c = Omega t.  U's diagonals are the split path's
+    (`_coupling_diagonals`), checked on their own through exp_Y against
+    expm(build_Y); nothing else is shared with propagate(), so this
+    cross-checks the generic pipeline.  At t = 0 it is rho(0) itself, the one
     writing of that state; the CLI's vacuum-excited initial state is this.
     """
     d = p.dim
@@ -327,18 +329,7 @@ def example_solution(alpha: complex, t: float, p: ModelParams) -> BlockDensity:
         vac[0, 0] = 0.5
         return BlockDensity(vac, z, z, 0.5 * np.outer(ket, ket.conj()))
 
-    A = vacuum_solution(t, p)
-    B = coherent_solution(alpha, t, p)
-    c = p.Omega * t
-    a = annihilation(d)
-    ad = creation(d)
-    cP = cos_sqrt(c, d, 1)
-    cN = cos_sqrt(c, d, 0)
-    sP = sinc_sqrt(c, d, 1)
-    sN = sinc_sqrt(c, d, 0)
-
-    b11 = cP @ A @ cP + sP @ a @ B @ ad @ sP
-    b12 = 1j * cP @ A @ a @ sN - 1j * sP @ a @ B @ cN
-    b21 = -1j * sN @ ad @ A @ cP + 1j * cN @ B @ ad @ sP
-    b22 = sN @ ad @ A @ a @ sN + cN @ B @ cN
-    return BlockDensity(0.5 * b11, 0.5 * b12, 0.5 * b21, 0.5 * b22)
+    U = np.block(_coupling_blocks(t, p))
+    z = np.zeros((d, d))
+    flowed = np.block([[vacuum_solution(t, p), z], [z, coherent_solution(alpha, t, p)]])
+    return BlockDensity.from_full(0.5 * (U @ flowed @ U.conj().T))

@@ -166,6 +166,20 @@ def test_coherent_solution_domain():
         coherent_solution(0.5, math.inf, P)
 
 
+def test_coherent_solution_finite_past_exponent_underflow():
+    # e^{-|beta|^2 (1-G)} underflows past about 745: the flow stays finite
+    # (a RuntimeWarning fails the test) up to 1400, and is refused beyond
+    p = ModelParams(omega0=1.0, Omega=1.0, mu=0.4, nu=0.1, dim=1000)
+    ket = coherent_state(27.5, p.dim)
+    for t in (0.0, 0.01):
+        tau = coherent_solution(27.5, t, p)
+        assert np.isfinite(tau).all()
+        assert abs(np.trace(tau) - 1) < 1e-13
+    assert np.abs(coherent_solution(27.5, 0.0, p) - np.outer(ket, ket.conj())).max() < 1e-15
+    with pytest.raises(DomainError, match="1400"):
+        coherent_solution(40.0, 0.0, p.with_dim(2000))
+
+
 def test_first_moment_matches_classical_oscillator():
     # <a>(t) of the damped mode is the amplitude of a classical damped
     # oscillator: alpha e^{-((mu-nu)/2 + i omega0) t}, both parts
